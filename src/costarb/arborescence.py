@@ -120,11 +120,17 @@ def repair(
     and RepairBudgetExceededError is raised at the end, carrying the
     completed structure.
     """
+    return _repair(mapping, instance, c0, lambda_star, decompose(mapping))
+
+
+def _repair(
+    mapping: Mapping, instance: Instance, c0: float, lambda_star: float, dec: Decomposition
+) -> Arborescence:
+    """repair, given the mapping's decomposition ``dec``."""
     if lambda_star < 0:
         raise ValueError(f"lambda_star must be nonnegative, got {lambda_star}")
     n = instance.n
     weights, costs = instance.weights, instance.costs
-    dec = decompose(mapping)
 
     order = sorted(
         range(len(dec.cycles)), key=lambda cid: (-dec.component_sizes[cid], cid)
@@ -434,12 +440,13 @@ def solve_constrained_arborescence(
     """Full pipeline: dual mapping solve -> cycle repair -> validation.
 
     The lower bound certifies the constrained-mapping optimum at the original
-    budget. The trace records the dual maximiser, how many cycles were broken
-    and edges added, and how much of the tightening margin the repair used.
+    budget. The trace records the dual maximiser, how many dual evaluations
+    of each kind it took, how many cycles were broken and edges added, and
+    how much of the tightening margin the repair used.
     """
     solution, opt = _solve_mapping_full(instance, c0, tighten, lambda_tol)
     dec = decompose(solution.mapping)
-    arb = repair(solution.mapping, instance, c0, opt.lambda_star)
+    arb = _repair(solution.mapping, instance, c0, opt.lambda_star, dec)
     ok, diags = validate(arb, instance)
     if not ok:
         raise AssertionError(f"repair produced an invalid arborescence: {diags}")
@@ -453,5 +460,7 @@ def solve_constrained_arborescence(
         "w_max_used": solution.w_max_used,
         "c_max_used": solution.c_max_used,
         "slack_used": arb.cost - solution.mapping.cost,
+        "dual_full_evaluations": opt.full_evaluations,
+        "dual_candidate_evaluations": opt.candidate_evaluations,
     }
     return PipelineResult(arborescence=arb, lower_bound=solution.lower_bound, trace=trace)

@@ -11,6 +11,25 @@ subgradient C(f_lam) - c0, which is non-increasing under a fixed smallest-
 column tie-break, so the maximiser is found by bisection on the subgradient
 sign. The feasible-side argmin plus a one-row swap closes the duality gap to
 at most one edge weight.
+
+The bisection runs from [0, n log n] down to a width of 1e-10, about fifty
+steps, but only a few of them scan the whole n x n matrix:
+
+1. Full evaluations stepped geometrically from n log n find a bracket
+   [a, b] with subgradient > 0 at a and <= 0 at b.
+2. Each row keeps as candidates the columns j with fl(W + a*C) <= its
+   minimum at b. Rounding is monotone, so every argmin at any lam in
+   [a, b], ties included, is a candidate.
+3. The bisection is replayed step for step. A point below a or above b
+   takes its known sign unevaluated; a point in [a, b] is evaluated on the
+   candidates with the same arithmetic as a full scan. An end point left
+   outside [a, b] gets a full evaluation, and so does a skipped point whose
+   phi weak duality cannot place below phi*.
+
+The replay visits the same points and takes the same branches as the plain
+bisection, so lambda*, phi* and both bracket mappings are the same bit for
+bit, at O(n*k) cost per step for k candidates per row. Full scans run block
+by block of rows, so no n x n work array is allocated.
 """
 
 from __future__ import annotations
@@ -26,6 +45,15 @@ from .instance import Instance
 
 _BISECTION_TOL_FACTOR = 1e-10
 _LAMBDA_OVERFLOW_GUARD = 1e30
+# Step of the bracket search: a larger step saves full evaluations but widens
+# [a, b] and so the candidate sets.
+_BRACKET_FACTOR = 8.0
+# Relative bound on the rounding in a computed phi, far above the float64
+# error of any sum and product it is made of.
+_PHI_ROUNDING = 1e-12
+# Rows per block of a full scan: a block of W + lam*C stays in cache between
+# being computed and being scanned, and no n x n work array is needed.
+_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,12 +75,20 @@ class DualEvaluation:
 
 @dataclass(frozen=True, eq=False)
 class DualOptimum:
-    """Maximiser bracket: mappings from the cost>=c0 and cost<=c0 sides."""
+    """Maximiser bracket: mappings from the cost>=c0 and cost<=c0 sides.
+
+    The counters are deterministic: n x n evaluations, evaluations on the
+    per-row candidate columns, and the padded number of candidates per row
+    (0 when none were built).
+    """
 
     lambda_star: float
     phi_star: float
     mapping_low: Mapping
     mapping_high: Mapping
+    full_evaluations: int
+    candidate_evaluations: int
+    candidate_width: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,29 +113,103 @@ def make_mapping(instance: Instance, f: np.ndarray) -> Mapping:
 
 
 class _PhiEvaluator:
-    """Reusable buffer for repeated dual evaluations on one instance."""
+    """Dual evaluations on one instance, counted by kind.
+
+    A full evaluation scans W + lam*C block by block of rows through a
+    reusable buffer. Once ``build_candidates`` has run, ``on_candidates``
+    scans only each row's candidate columns, with the same arithmetic and
+    the same gather-and-sum, so it returns the full evaluation bit for bit
+    at any lam in the bracket the candidates were built for.
+    """
 
     def __init__(self, instance: Instance, c0: float):
         self.instance = instance
         self.c0 = c0
         self._rows = np.arange(instance.n)
-        self._buf = np.empty_like(instance.weights)
+        self._block = np.empty((min(instance.n, _ROW_BLOCK), instance.n))
+        self.full_evaluations = 0
+        self.candidate_evaluations = 0
+        self.candidate_width = 0
 
-    def __call__(self, lam: float) -> DualEvaluation:
+    def _scores(self, r0: int, lam: float) -> np.ndarray:
+        """W + lam*C on the block of rows from r0 on, diagonal +inf."""
         inst = self.instance
+        rows = slice(r0, min(r0 + _ROW_BLOCK, inst.n))
+        scores = self._block[: rows.stop - r0]
         with np.errstate(invalid="ignore"):  # lam=0 turns the inf diagonal into nan
-            np.multiply(inst.costs, lam, out=self._buf)
-        self._buf += inst.weights
-        np.fill_diagonal(self._buf, np.inf)
-        f = np.argmin(self._buf, axis=1)  # first occurrence = smallest column
-        weight = float(inst.weights[self._rows, f].sum())
-        cost = float(inst.costs[self._rows, f].sum())
+            np.multiply(inst.costs[rows], lam, out=scores)
+        scores += inst.weights[rows]
+        scores.reshape(-1)[r0 :: inst.n + 1] = np.inf  # entries (i, r0 + i)
+        return scores
+
+    def _evaluation(self, lam: float, f, w_chosen, c_chosen) -> DualEvaluation:
+        weight = float(w_chosen.sum())
+        cost = float(c_chosen.sum())
         phi_val = weight + lam * cost - lam * self.c0
         return DualEvaluation(
             lam=lam,
             phi=phi_val,
             argmin=Mapping(f=f, weight=weight, cost=cost),
             subgradient=cost - self.c0,
+        )
+
+    def full(self, lam: float) -> tuple[DualEvaluation, np.ndarray]:
+        """Full evaluation plus each row's minimum of W + lam*C."""
+        inst = self.instance
+        f = np.empty(inst.n, dtype=np.intp)
+        minima = np.empty(inst.n)
+        for r0 in range(0, inst.n, _ROW_BLOCK):
+            scores = self._scores(r0, lam)
+            block_f = scores.argmin(axis=1)  # first occurrence = smallest column
+            f[r0 : r0 + len(scores)] = block_f
+            minima[r0 : r0 + len(scores)] = scores[np.arange(len(scores)), block_f]
+        self.full_evaluations += 1
+        rows = self._rows
+        e = self._evaluation(lam, f, inst.weights[rows, f], inst.costs[rows, f])
+        return e, minima
+
+    def __call__(self, lam: float) -> DualEvaluation:
+        return self.full(lam)[0]
+
+    def build_candidates(self, a: float, minima_b: np.ndarray) -> None:
+        """Keep, per row, the columns j with fl(W + a*C) <= the row's minimum
+        at some b >= a.
+
+        Rounding is monotone and costs are nonnegative, so for lam in [a, b]
+        every column attaining the row minimum, ties included, passes the
+        test. Columns are kept ascending, so argmin's first occurrence is
+        still the smallest column. Rows are padded with W = inf, C = 0.
+        """
+        inst = self.instance
+        n = inst.n
+        found_rows, found_cols = [], []
+        for r0 in range(0, n, _ROW_BLOCK):
+            scores = self._scores(r0, a)
+            r, c = np.nonzero(scores <= minima_b[r0 : r0 + len(scores), None])
+            found_rows.append(r + r0)
+            found_cols.append(c)
+        rows = np.concatenate(found_rows)
+        cols = np.concatenate(found_cols)
+        counts = np.bincount(rows, minlength=n)
+        slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        k = int(counts.max())
+        self._cand_cols = np.zeros((n, k), dtype=np.intp)
+        self._cand_w = np.full((n, k), np.inf)
+        self._cand_c = np.zeros((n, k))
+        self._cand_cols[rows, slot] = cols
+        self._cand_w[rows, slot] = inst.weights[rows, cols]
+        self._cand_c[rows, slot] = inst.costs[rows, cols]
+        self._cand_buf = np.empty((n, k))
+        self._cand_offsets = self._rows * k
+        self.candidate_width = k
+
+    def on_candidates(self, lam: float) -> DualEvaluation:
+        np.multiply(self._cand_c, lam, out=self._cand_buf)
+        self._cand_buf += self._cand_w
+        chosen = self._cand_buf.argmin(axis=1) + self._cand_offsets
+        self.candidate_evaluations += 1
+        return self._evaluation(
+            lam, self._cand_cols.take(chosen), self._cand_w.take(chosen), self._cand_c.take(chosen)
         )
 
 
@@ -130,54 +240,124 @@ def maximize_dual(
     With ``lambda_tol`` unset the bracket narrows to 1e-10 * (1 + bracket
     scale), tight enough that both bracket mappings differ in at most the
     single row whose argmin flips at the maximiser.
+
+    Most bisection steps run on per-row candidate columns rather than the
+    full matrix (see the module docstring); the result is the same bit for
+    bit. The counters on the result say how many evaluations of each kind
+    were made.
     """
+    return _maximize_dual(instance, c0, lambda_tol, min_cost_sum(instance))
+
+
+def _tolerance(lambda_tol: Optional[float], hi: float) -> float:
+    return lambda_tol if lambda_tol is not None else _BISECTION_TOL_FACTOR * (1.0 + hi)
+
+
+def _maximize_dual(
+    instance: Instance, c0: float, lambda_tol: Optional[float], cheapest: float
+) -> DualOptimum:
+    """maximize_dual, given the cheapest mapping's cost ``cheapest``."""
     if c0 <= 0:
         raise ValueError(f"c0 must be positive, got {c0}")
     if lambda_tol is not None and lambda_tol <= 0:
         raise ValueError(f"lambda_tol must be positive, got {lambda_tol}")
-
-    if min_cost_sum(instance) > c0:
+    if cheapest > c0:
         raise InfeasibleBudgetError(
-            f"cheapest mapping costs {min_cost_sum(instance):.6g} > budget {c0:.6g}"
+            f"cheapest mapping costs {cheapest:.6g} > budget {c0:.6g}"
         )
 
     evaluate = _PhiEvaluator(instance, c0)
-    e_lo = evaluate(0.0)
-    phi_best = e_lo.phi
-    if e_lo.subgradient <= 0:
+
+    def optimum(lambda_star, phi_star, e_low, e_high) -> DualOptimum:
         return DualOptimum(
-            lambda_star=0.0, phi_star=phi_best,
-            mapping_low=e_lo.argmin, mapping_high=e_lo.argmin,
+            lambda_star=lambda_star, phi_star=phi_star,
+            mapping_low=e_low.argmin, mapping_high=e_high.argmin,
+            full_evaluations=evaluate.full_evaluations,
+            candidate_evaluations=evaluate.candidate_evaluations,
+            candidate_width=evaluate.candidate_width,
         )
 
-    lo = 0.0
-    hi = instance.n * math.log(instance.n)
-    e_hi = evaluate(hi)
-    phi_best = max(phi_best, e_hi.phi)
-    while e_hi.subgradient > 0:
+    e_zero = evaluate(0.0)
+    if e_zero.subgradient <= 0:
+        return optimum(0.0, e_zero.phi, e_zero, e_zero)
+
+    # 1. A bracket [a, b] with subgradient > 0 at a and <= 0 at b, from full
+    # evaluations stepped geometrically away from n log n.
+    top = instance.n * math.log(instance.n)
+    e_top, minima_b = evaluate.full(top)
+    a, b = 0.0, top
+    if e_top.subgradient > 0:
+        ceiling = top  # the last doubling of top that stays within the guard
+        while ceiling * 2.0 <= _LAMBDA_OVERFLOW_GUARD:
+            ceiling *= 2.0
+        e_b = e_top
+        while e_b.subgradient > 0:
+            if b == ceiling:
+                raise ArithmeticError("subgradient never changed sign; lambda overflow")
+            a, b = b, min(b * _BRACKET_FACTOR, ceiling)
+            e_b, minima_b = evaluate.full(b)
+    else:
+        # Stop stepping down at the bisection's tolerance; a = 0 is known to
+        # be on the positive side.
+        while b / _BRACKET_FACTOR > _tolerance(lambda_tol, b):
+            e_mid, minima_mid = evaluate.full(b / _BRACKET_FACTOR)
+            if e_mid.subgradient > 0:
+                a = b / _BRACKET_FACTOR
+                break
+            b, minima_b = b / _BRACKET_FACTOR, minima_mid
+
+    # 2. Every argmin at any lam in [a, b] is among the candidates.
+    evaluate.build_candidates(a, minima_b)
+
+    # 3. Replay the bisection from [0, n log n]. Points outside [a, b] have a
+    # known subgradient sign and are skipped.
+    visited = [e_zero, e_top]
+    skipped = []
+
+    def probe(lam: float) -> tuple[bool, Optional[DualEvaluation]]:
+        if lam < a or lam > b:
+            skipped.append(lam)
+            return lam < a, None
+        e = evaluate.on_candidates(lam)
+        visited.append(e)
+        return e.subgradient > 0, e
+
+    lo, e_lo, hi, e_hi = 0.0, e_zero, top, e_top
+    positive = e_top.subgradient > 0
+    while positive:  # ends by b, which is within the overflow guard
         lo, e_lo = hi, e_hi
         hi *= 2.0
-        if hi > _LAMBDA_OVERFLOW_GUARD:
-            raise ArithmeticError("subgradient never changed sign; lambda overflow")
-        e_hi = evaluate(hi)
-        phi_best = max(phi_best, e_hi.phi)
+        positive, e_hi = probe(hi)
 
-    while True:
-        tol = lambda_tol if lambda_tol is not None else _BISECTION_TOL_FACTOR * (1.0 + hi)
-        if hi - lo <= tol:
-            break
+    while hi - lo > _tolerance(lambda_tol, hi):
         mid = 0.5 * (lo + hi)
-        e_mid = evaluate(mid)
-        phi_best = max(phi_best, e_mid.phi)
-        if e_mid.subgradient > 0:
+        positive, e_mid = probe(mid)
+        if positive:
             lo, e_lo = mid, e_mid
         else:
             hi, e_hi = mid, e_mid
 
-    return DualOptimum(
-        lambda_star=hi, phi_star=phi_best,
-        mapping_low=e_lo.argmin, mapping_high=e_hi.argmin,
-    )
+    if e_lo is None:
+        e_lo = evaluate(lo)
+        visited.append(e_lo)
+    if e_hi is None:
+        e_hi = evaluate(hi)
+        visited.append(e_hi)
+    phi_best = max(e.phi for e in visited)
+    # phi_star is the largest phi among the points the bisection visits,
+    # skipped ones included. By weak duality a skipped point's phi is at most
+    # W + lam*(C - c0) of the end point's mapping on its side; only where
+    # that bound comes within rounding of phi_best, as where phi is flat, is
+    # the point evaluated.
+    for lam in skipped:
+        if lam in (lo, hi):
+            continue
+        near = e_lo.argmin if lam < lo else e_hi.argmin
+        bound = near.weight + lam * (near.cost - c0)
+        slack = _PHI_ROUNDING * (near.weight + lam * near.cost + lam * c0)
+        if bound + slack >= phi_best:
+            phi_best = max(phi_best, evaluate(lam).phi)
+    return optimum(hi, phi_best, e_lo, e_hi)
 
 
 def default_tighten(instance: Instance, c0: float) -> float:
@@ -188,14 +368,26 @@ def default_tighten(instance: Instance, c0: float) -> float:
     the gap to the cheapest possible mapping so tightening alone can never
     fabricate infeasibility.
     """
-    n = instance.n
+    return _default_tighten(instance.n, c0, min_cost_sum(instance))
+
+
+def _default_tighten(n: int, c0: float, cheapest: float) -> float:
     log_n = math.log(n)
     if c0 <= log_n:
         rule = min(n ** -0.5, c0 / 2.0)
     else:
         rule = min(1.0, c0 * n ** -0.25 * log_n)
-    headroom = c0 - min_cost_sum(instance)
+    headroom = c0 - cheapest
     return max(0.0, min(rule, headroom / 2.0))
+
+
+def _row_argmin(matrix: np.ndarray) -> np.ndarray:
+    """np.argmin(matrix, axis=1), block by block of rows: numpy copies a
+    read-only matrix whole to take its argmin."""
+    return np.concatenate([
+        np.argmin(matrix[r0 : r0 + _ROW_BLOCK], axis=1)
+        for r0 in range(0, matrix.shape[0], _ROW_BLOCK)
+    ])
 
 
 def _solve_mapping_full(
@@ -206,8 +398,16 @@ def _solve_mapping_full(
 ) -> tuple[MappingSolution, DualOptimum]:
     if c0 <= 0:
         raise ValueError(f"c0 must be positive, got {c0}")
+    n = instance.n
+    rows = np.arange(n)
+    # Each row's cheapest-cost edge, found once: their costs sum to
+    # min_cost_sum bit for bit, for the feasibility check and the tightening
+    # headroom, and the one-row swap below moves a row onto one of them.
+    cheap_cols = _row_argmin(instance.costs)
+    cheap_costs = instance.costs[rows, cheap_cols]
+    cheapest = float(cheap_costs.sum())
     if tighten is None:
-        tighten = default_tighten(instance, c0)
+        tighten = _default_tighten(n, c0, cheapest)
     if tighten < 0:
         raise ValueError(f"tighten must be nonnegative, got {tighten}")
     c0_tight = c0 - tighten
@@ -216,10 +416,8 @@ def _solve_mapping_full(
             f"tighten {tighten:.6g} leaves non-positive working budget from c0={c0:.6g}"
         )
 
-    opt = maximize_dual(instance, c0_tight, lambda_tol)
+    opt = _maximize_dual(instance, c0_tight, lambda_tol, cheapest)
     lam = opt.lambda_star
-    n = instance.n
-    rows = np.arange(n)
 
     candidates = [opt.mapping_high]
     if opt.mapping_low.cost <= c0:
@@ -228,8 +426,7 @@ def _solve_mapping_full(
     # One-row swap: move a single row of the infeasible-side mapping to its
     # cheapest-cost edge, keeping the rest intact; at most one row differs.
     f_low = opt.mapping_low.f
-    cheap_cols = np.argmin(instance.costs, axis=1)
-    cost_delta = instance.costs[rows, cheap_cols] - instance.costs[rows, f_low]
+    cost_delta = cheap_costs - instance.costs[rows, f_low]
     weight_delta = instance.weights[rows, cheap_cols] - instance.weights[rows, f_low]
     swapped_cost = opt.mapping_low.cost + cost_delta
     feasible = swapped_cost <= c0

@@ -79,21 +79,17 @@ def _uniform_matrices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return u_weights, u_costs
 
 
-def _power_transform(u: np.ndarray, exponent: float) -> np.ndarray:
-    out = u.copy() if exponent == 1.0 else np.power(u, exponent)
-    np.fill_diagonal(out, np.inf)
-    return out
-
-
 def generate(n: int, s: float, seed: int) -> Instance:
     """Draw an instance with i.i.d. U**s weights and costs on every edge."""
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")
-    u_weights, u_costs = _uniform_matrices(n, seed)
-    weights = _power_transform(u_weights, s)
-    costs = _power_transform(u_costs, s)
+    weights, costs = _uniform_matrices(n, seed)
+    for u in (weights, costs):  # in place: the instance holds only these two
+        if s != 1.0:
+            np.power(u, s, out=u)
+        np.fill_diagonal(u, np.inf)
     return Instance(n=n, s=s, weights=weights, costs=costs, seed=seed)
 
 

@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -6,17 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from costarb import (
+    DualEvaluation,
     InfeasibleBudgetError,
+    Mapping,
     TightenTooLargeError,
     empirical_concentration,
     exact_mapping_oracle,
+    from_arrays,
     generate,
     make_mapping,
     maximize_dual,
     min_cost_sum,
     phi,
+    solve_constrained_arborescence,
     solve_mapping,
 )
+from costarb import dual as dual_module
 from conftest import all_mappings
 
 
@@ -212,3 +219,206 @@ class TestConcentration:
     def test_lambda_range_enforced(self):
         with pytest.raises(ValueError):
             empirical_concentration(100, 1.0, 1e6, trials=2, seed=0)
+
+
+# Reference: the plain bisection that evaluates every point on the full n x n
+# matrix, as maximize_dual did before the candidate-column replay. Kept
+# verbatim apart from names; maximize_dual must reproduce it bit for bit.
+_REF_BISECTION_TOL_FACTOR = 1e-10
+_REF_LAMBDA_OVERFLOW_GUARD = 1e30
+
+
+@dataclass(frozen=True, eq=False)
+class _ReferenceOptimum:
+    lambda_star: float
+    phi_star: float
+    mapping_low: Mapping
+    mapping_high: Mapping
+
+
+class _ReferencePhiEvaluator:
+    def __init__(self, instance, c0: float):
+        self.instance = instance
+        self.c0 = c0
+        self._rows = np.arange(instance.n)
+        self._buf = np.empty_like(instance.weights)
+
+    def __call__(self, lam: float) -> DualEvaluation:
+        inst = self.instance
+        with np.errstate(invalid="ignore"):  # lam=0 turns the inf diagonal into nan
+            np.multiply(inst.costs, lam, out=self._buf)
+        self._buf += inst.weights
+        np.fill_diagonal(self._buf, np.inf)
+        f = np.argmin(self._buf, axis=1)  # first occurrence = smallest column
+        weight = float(inst.weights[self._rows, f].sum())
+        cost = float(inst.costs[self._rows, f].sum())
+        phi_val = weight + lam * cost - lam * self.c0
+        return DualEvaluation(
+            lam=lam,
+            phi=phi_val,
+            argmin=Mapping(f=f, weight=weight, cost=cost),
+            subgradient=cost - self.c0,
+        )
+
+
+def reference_maximize_dual(
+    instance, c0: float, lambda_tol: Optional[float] = None
+) -> _ReferenceOptimum:
+    if c0 <= 0:
+        raise ValueError(f"c0 must be positive, got {c0}")
+    if lambda_tol is not None and lambda_tol <= 0:
+        raise ValueError(f"lambda_tol must be positive, got {lambda_tol}")
+
+    if min_cost_sum(instance) > c0:
+        raise InfeasibleBudgetError(
+            f"cheapest mapping costs {min_cost_sum(instance):.6g} > budget {c0:.6g}"
+        )
+
+    evaluate = _ReferencePhiEvaluator(instance, c0)
+    e_lo = evaluate(0.0)
+    phi_best = e_lo.phi
+    if e_lo.subgradient <= 0:
+        return _ReferenceOptimum(
+            lambda_star=0.0, phi_star=phi_best,
+            mapping_low=e_lo.argmin, mapping_high=e_lo.argmin,
+        )
+
+    lo = 0.0
+    hi = instance.n * math.log(instance.n)
+    e_hi = evaluate(hi)
+    phi_best = max(phi_best, e_hi.phi)
+    while e_hi.subgradient > 0:
+        lo, e_lo = hi, e_hi
+        hi *= 2.0
+        if hi > _REF_LAMBDA_OVERFLOW_GUARD:
+            raise ArithmeticError("subgradient never changed sign; lambda overflow")
+        e_hi = evaluate(hi)
+        phi_best = max(phi_best, e_hi.phi)
+
+    while True:
+        tol = lambda_tol if lambda_tol is not None else _REF_BISECTION_TOL_FACTOR * (1.0 + hi)
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        e_mid = evaluate(mid)
+        phi_best = max(phi_best, e_mid.phi)
+        if e_mid.subgradient > 0:
+            lo, e_lo = mid, e_mid
+        else:
+            hi, e_hi = mid, e_mid
+
+    return _ReferenceOptimum(
+        lambda_star=hi, phi_star=phi_best,
+        mapping_low=e_lo.argmin, mapping_high=e_hi.argmin,
+    )
+
+
+def _outcome(solver, instance, c0, lambda_tol=None):
+    """Every output bit of a dual solve, or the type of the exception raised."""
+    try:
+        opt = solver(instance, c0, lambda_tol)
+    except (ArithmeticError, ValueError, InfeasibleBudgetError) as exc:
+        return type(exc)
+
+    def bits(m):
+        return (m.f.dtype, m.f.tolist(), m.weight.hex(), m.cost.hex())
+
+    return (
+        opt.lambda_star.hex(), opt.phi_star.hex(),
+        bits(opt.mapping_low), bits(opt.mapping_high),
+    )
+
+
+def _oracle_budgets(inst):
+    """Budgets around and between the cheapest and the unconstrained cost."""
+    low = min_cost_sum(inst)
+    high = phi(inst, 0.0, 1.0).argmin.cost
+    return [low + u * max(high - low, 1e-6) for u in (-0.1, 0.0, 0.3, 0.7, 1.0, 1.5)]
+
+
+class TestReplayEquality:
+    """maximize_dual equals the plain bisection in every output bit.
+
+    Most inputs run at the shipped bracket factor, a power of two, whose
+    bracket ends are points the bisection visits. Factors 3 and 32 move the
+    ends off those points, so the bisection can also end outside [a, b].
+    """
+
+    @pytest.fixture(params=[None, 3.0, 32.0])
+    def bracket_factor(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(dual_module, "_BRACKET_FACTOR", request.param)
+
+    def assert_same(self, inst, c0, lambda_tol=None):
+        assert _outcome(maximize_dual, inst, c0, lambda_tol) == _outcome(
+            reference_maximize_dual, inst, c0, lambda_tol
+        ), (inst.n, c0, lambda_tol)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_oracle_sizes(self, n, bracket_factor):
+        for seed in range(40):
+            inst = generate(n, 1.0, seed)
+            for c0 in _oracle_budgets(inst):
+                for lambda_tol in (None, 1e-3, 10.0):
+                    self.assert_same(inst, c0, lambda_tol)
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    @pytest.mark.parametrize("s", [1.0, 0.6])
+    def test_regimes(self, n, s):
+        inst = generate(n, s, 1)
+        for c0 in (math.sqrt(n), 0.2 * n, 3.0, 0.6 * n, min_cost_sum(inst)):
+            self.assert_same(inst, c0)
+        self.assert_same(inst, math.sqrt(n), 1e-3)
+        self.assert_same(inst, math.sqrt(n), 10.0)
+
+    @pytest.mark.parametrize("n", [3, 8, 40])
+    def test_ties_on_a_grid_of_eighths(self, n, bracket_factor):
+        rng = np.random.default_rng(n)
+        for _ in range(30):
+            inst = from_arrays(rng.integers(0, 9, (n, n)) / 8, rng.integers(0, 9, (n, n)) / 8)
+            low = min_cost_sum(inst)
+            for c0 in (low, low + 0.0625, low + 0.125, low + 1.0, n / 2):
+                for lambda_tol in (None, 1e-3, 10.0):
+                    self.assert_same(inst, c0, lambda_tol)
+
+    def test_maximiser_above_n_log_n(self, bracket_factor):
+        # heavy weights push lambda* past the first upper end, n log n, and
+        # the heaviest past the overflow guard
+        for seed in range(20):
+            base = generate(6, 1.0, seed)
+            for scale in (1e3, 1e6, 1e12, 1e40):
+                inst = from_arrays(base.weights * scale, base.costs)
+                low = min_cost_sum(inst)
+                for c0 in (low, low * 1.01, low * 1.3):
+                    self.assert_same(inst, c0)
+        inst = from_arrays(base.weights * 1e6, base.costs)
+        assert maximize_dual(inst, min_cost_sum(inst) * 1.01).lambda_star > 6 * math.log(6)
+        with pytest.raises(ArithmeticError):
+            maximize_dual(from_arrays(base.weights * 1e40, base.costs), min_cost_sum(base))
+
+    def test_rejected_inputs(self, worked):
+        for c0, lambda_tol in ((0.5, None), (0.0, None), (1.4, 0.0), (1.4, -1.0)):
+            self.assert_same(worked, c0, lambda_tol)
+
+
+class TestDualCounters:
+    def test_full_evaluations_pinned(self):
+        # At n=1000, c0=sqrt(n) the plain bisection makes about fifty full
+        # evaluations; the bracket search makes this many.
+        inst = generate(1000, 1.0, 1)
+        opt = maximize_dual(inst, math.sqrt(1000))
+        assert opt.full_evaluations == 7
+        assert opt.candidate_evaluations > 0
+        assert 0 < opt.candidate_width < inst.n
+
+    def test_slack_budget_makes_one_evaluation(self, worked):
+        opt = maximize_dual(worked, 2.0)
+        assert (opt.full_evaluations, opt.candidate_evaluations, opt.candidate_width) == (1, 0, 0)
+
+    def test_pipeline_trace_carries_counters(self):
+        inst = generate(200, 1.0, 3)
+        c0 = math.sqrt(200)
+        trace = solve_constrained_arborescence(inst, c0, tighten=0.0).trace
+        opt = maximize_dual(inst, c0)
+        assert trace["dual_full_evaluations"] == opt.full_evaluations
+        assert trace["dual_candidate_evaluations"] == opt.candidate_evaluations

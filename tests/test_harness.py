@@ -137,6 +137,16 @@ class TestOracleSuite:
         assert report.instances == 60
         assert report.checks == 240
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="repair gives up on an in-budget n=5 instance at suite index 106 "
+        "(RepairBudgetExceededError; see the FOUND line on arborescence.repair "
+        "in CHANGES.md); a repair fix makes this pass and must drop the mark",
+    )
+    def test_block_600_passes(self):
+        report = run_oracle_suite(108, range(4, 7), seed=600)
+        assert report.passed, report.violations
+
     def test_includes_n2_edge_case(self):
         report = run_oracle_suite(10, [2], seed=9)
         assert report.passed, report.violations

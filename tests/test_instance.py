@@ -15,6 +15,7 @@ from costarb import (
     load,
     save,
 )
+from costarb.instance import _uniform_matrices
 
 # Philox output is algorithmically pinned, so the exact bytes are stable
 # across platforms and numpy versions.
@@ -51,6 +52,16 @@ def test_generation_is_bit_reproducible():
     assert np.array_equal(a.costs, b.costs)
     digest = hashlib.sha256(a.weights.tobytes() + a.costs.tobytes()).hexdigest()
     assert digest == _FROZEN_DIGEST
+
+
+@pytest.mark.parametrize("s", [1.0, 0.6])
+def test_generation_is_the_power_of_the_uniforms(s):
+    u_weights, u_costs = _uniform_matrices(50, 3)
+    inst = generate(50, s, 3)
+    for u, mat in ((u_weights, inst.weights), (u_costs, inst.costs)):
+        expected = np.power(u, s)
+        np.fill_diagonal(expected, np.inf)
+        assert np.array_equal(mat, expected)
 
 
 def test_distinct_seeds_differ():
