@@ -435,7 +435,6 @@ def solve_constrained_arborescence(
     instance: Instance,
     c0: float,
     tighten: Optional[float] = None,
-    lambda_tol: Optional[float] = None,
 ) -> PipelineResult:
     """Full pipeline: dual mapping solve -> cycle repair -> validation.
 
@@ -444,7 +443,7 @@ def solve_constrained_arborescence(
     of each kind it took, how many cycles were broken and edges added, and
     how much of the tightening margin the repair used.
     """
-    solution, opt = _solve_mapping_full(instance, c0, tighten, lambda_tol)
+    solution, opt = _solve_mapping_full(instance, c0, tighten)
     dec = decompose(solution.mapping)
     arb = _repair(solution.mapping, instance, c0, opt.lambda_star, dec)
     ok, diags = validate(arb, instance)
@@ -452,7 +451,7 @@ def solve_constrained_arborescence(
         raise AssertionError(f"repair produced an invalid arborescence: {diags}")
     trace = {
         "lambda_star": opt.lambda_star,
-        "phi_star": solution.lower_bound,
+        "lower_bound": solution.lower_bound,
         "mapping_weight": solution.mapping.weight,
         "mapping_cost": solution.mapping.cost,
         "cycles_broken": len(dec.cycles),

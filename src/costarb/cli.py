@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", help="load instance instead of generating")
         _add_budget_flags(p)
         p.add_argument("--tighten", type=float, default=None)
-        p.add_argument("--lambda-tol", type=float, default=None)
         p.add_argument("--out")
 
     p = sub.add_parser("predict", help="closed-form regime prediction")
@@ -103,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_budget_flags(p)
     p.add_argument("--tighten", type=float, default=None)
-    p.add_argument("--lambda-tol", type=float, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="path prefix; writes <out>.json and <out>.csv")
     p.add_argument("--format", choices=["json", "csv"], default="json",
@@ -131,9 +129,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     inst = _load_or_generate(args)
     c0 = _budget_spec(args).resolve(inst.n)
-    result = arb_mod.solve_constrained_arborescence(
-        inst, c0, tighten=args.tighten, lambda_tol=args.lambda_tol
-    )
+    result = arb_mod.solve_constrained_arborescence(inst, c0, tighten=args.tighten)
     _emit(result.arborescence.to_dict(trace=result.trace), args.out)
     return EXIT_OK
 
@@ -141,7 +137,7 @@ def _cmd_solve(args) -> int:
 def _cmd_dual(args) -> int:
     inst = _load_or_generate(args)
     c0 = _budget_spec(args).resolve(inst.n)
-    opt = dual.maximize_dual(inst, c0, lambda_tol=args.lambda_tol)
+    opt = dual.maximize_dual(inst, c0)
     payload = {
         "lambda_star": opt.lambda_star,
         "phi_star": opt.phi_star,
@@ -170,8 +166,7 @@ def _cmd_expect(args) -> int:
 def _cmd_experiment(args) -> int:
     config = harness.ExperimentConfig(
         n=args.n, s=args.s, trials=args.trials, base_seed=args.seed,
-        budget=_budget_spec(args), lambda_tol=args.lambda_tol,
-        tighten=args.tighten, parallelism=args.workers,
+        budget=_budget_spec(args), tighten=args.tighten, parallelism=args.workers,
     )
     report = harness.run_experiment(config)
     if args.out:

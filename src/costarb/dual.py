@@ -8,28 +8,26 @@ budget C(f) <= c0 with a multiplier lam >= 0 gives the dual function
 whose inner minimum decomposes per row: each vertex independently picks the
 edge minimising W + lam*C. phi is concave piecewise-linear in lam with
 subgradient C(f_lam) - c0, which is non-increasing under a fixed smallest-
-column tie-break, so the maximiser is found by bisection on the subgradient
-sign. The feasible-side argmin plus a one-row swap closes the duality gap to
-at most one edge weight.
+column tie-break, so its maximiser is the breakpoint where the subgradient
+changes sign. The feasible-side argmin plus a one-row swap closes the
+duality gap to at most one edge weight.
 
-The bisection runs from [0, n log n] down to a width of 1e-10, about fifty
-steps, but only a few of them scan the whole n x n matrix:
+The maximiser is found exactly, in three stages, of which only the first
+scans the whole n x n matrix:
 
 1. Full evaluations stepped geometrically from n log n find a bracket
    [a, b] with subgradient > 0 at a and <= 0 at b.
 2. Each row keeps as candidates the columns j with fl(W + a*C) <= its
    minimum at b. Rounding is monotone, so every argmin at any lam in
    [a, b], ties included, is a candidate.
-3. The bisection is replayed step for step. A point below a or above b
-   takes its known sign unevaluated; a point in [a, b] is evaluated on the
-   candidates with the same arithmetic as a full scan. An end point left
-   outside [a, b] gets a full evaluation, and so does a skipped point whose
-   phi weak duality cannot place below phi*.
+3. Each mapping's phi-line is W + lam*(C - c0). The lines of the argmins
+   at the two bracket ends meet at some lam in between, where the argmin is
+   evaluated on the candidates. If it is one of the two, lam is the
+   maximiser; otherwise it replaces the end on the side of its subgradient
+   sign. phi has finitely many pieces, so this ends after a few steps.
 
-The replay visits the same points and takes the same branches as the plain
-bisection, so lambda*, phi* and both bracket mappings are the same bit for
-bit, at O(n*k) cost per step for k candidates per row. Full scans run block
-by block of rows, so no n x n work array is allocated.
+Each stage-3 step costs O(n*k) for k candidates per row. Full scans run
+block by block of rows, so no n x n work array is allocated.
 """
 
 from __future__ import annotations
@@ -43,14 +41,12 @@ import numpy as np
 from .errors import InfeasibleBudgetError, TightenTooLargeError
 from .instance import Instance
 
-_BISECTION_TOL_FACTOR = 1e-10
 _LAMBDA_OVERFLOW_GUARD = 1e30
 # Step of the bracket search: a larger step saves full evaluations but widens
 # [a, b] and so the candidate sets.
 _BRACKET_FACTOR = 8.0
-# Relative bound on the rounding in a computed phi, far above the float64
-# error of any sum and product it is made of.
-_PHI_ROUNDING = 1e-12
+# Relative lower end of the downward bracket search.
+_BRACKET_FLOOR = 1e-10
 # Rows per block of a full scan: a block of W + lam*C stays in cache between
 # being computed and being scanned, and no n x n work array is needed.
 _ROW_BLOCK = 32
@@ -75,7 +71,9 @@ class DualEvaluation:
 
 @dataclass(frozen=True, eq=False)
 class DualOptimum:
-    """Maximiser bracket: mappings from the cost>=c0 and cost<=c0 sides.
+    """The maximiser lambda_star with the argmins on either side of it:
+    mapping_low costs more than c0 and mapping_high at most c0 (both are
+    the lambda=0 argmin when that fits the budget).
 
     The counters are deterministic: n x n evaluations, evaluations on the
     per-row candidate columns, and the padded number of candidates per row
@@ -227,137 +225,102 @@ def min_cost_sum(instance: Instance) -> float:
     return float(instance.costs.min(axis=1).sum())
 
 
-def maximize_dual(
-    instance: Instance, c0: float, lambda_tol: Optional[float] = None
-) -> DualOptimum:
-    """Maximise phi(., c0) by bisection on the subgradient sign.
+def maximize_dual(instance: Instance, c0: float) -> DualOptimum:
+    """Maximise phi(., c0) exactly: the maximiser is a breakpoint of phi.
 
-    Searches [0, n log n], doubling the upper end if the subgradient is still
-    positive there. If the unconstrained weight-minimal mapping already fits
-    the budget the maximiser is lambda=0. Raises InfeasibleBudgetError when
-    even the per-row cost-minimal mapping exceeds c0.
+    If the unconstrained weight-minimal mapping already fits the budget the
+    maximiser is lambda=0. Otherwise a bracket found by full evaluations is
+    narrowed by meeting the two bracket mappings' lines on the per-row
+    candidate columns (see the module docstring) until the argmin where they
+    meet is one of the two. Raises InfeasibleBudgetError when even the
+    per-row cost-minimal mapping exceeds c0.
 
-    With ``lambda_tol`` unset the bracket narrows to 1e-10 * (1 + bracket
-    scale), tight enough that both bracket mappings differ in at most the
-    single row whose argmin flips at the maximiser.
-
-    Most bisection steps run on per-row candidate columns rather than the
-    full matrix (see the module docstring); the result is the same bit for
-    bit. The counters on the result say how many evaluations of each kind
-    were made.
+    phi_star is the largest phi evaluated, a weak-duality certificate. The
+    counters on the result say how many evaluations of each kind were made.
     """
-    return _maximize_dual(instance, c0, lambda_tol, min_cost_sum(instance))
+    return _maximize_dual(instance, c0, min_cost_sum(instance))
 
 
-def _tolerance(lambda_tol: Optional[float], hi: float) -> float:
-    return lambda_tol if lambda_tol is not None else _BISECTION_TOL_FACTOR * (1.0 + hi)
-
-
-def _maximize_dual(
-    instance: Instance, c0: float, lambda_tol: Optional[float], cheapest: float
-) -> DualOptimum:
+def _maximize_dual(instance: Instance, c0: float, cheapest: float) -> DualOptimum:
     """maximize_dual, given the cheapest mapping's cost ``cheapest``."""
     if c0 <= 0:
         raise ValueError(f"c0 must be positive, got {c0}")
-    if lambda_tol is not None and lambda_tol <= 0:
-        raise ValueError(f"lambda_tol must be positive, got {lambda_tol}")
     if cheapest > c0:
         raise InfeasibleBudgetError(
             f"cheapest mapping costs {cheapest:.6g} > budget {c0:.6g}"
         )
 
     evaluate = _PhiEvaluator(instance, c0)
-
-    def optimum(lambda_star, phi_star, e_low, e_high) -> DualOptimum:
-        return DualOptimum(
-            lambda_star=lambda_star, phi_star=phi_star,
-            mapping_low=e_low.argmin, mapping_high=e_high.argmin,
-            full_evaluations=evaluate.full_evaluations,
-            candidate_evaluations=evaluate.candidate_evaluations,
-            candidate_width=evaluate.candidate_width,
-        )
-
     e_zero = evaluate(0.0)
-    if e_zero.subgradient <= 0:
-        return optimum(0.0, e_zero.phi, e_zero, e_zero)
-
-    # 1. A bracket [a, b] with subgradient > 0 at a and <= 0 at b, from full
-    # evaluations stepped geometrically away from n log n.
-    top = instance.n * math.log(instance.n)
-    e_top, minima_b = evaluate.full(top)
-    a, b = 0.0, top
-    if e_top.subgradient > 0:
-        ceiling = top  # the last doubling of top that stays within the guard
-        while ceiling * 2.0 <= _LAMBDA_OVERFLOW_GUARD:
-            ceiling *= 2.0
-        e_b = e_top
-        while e_b.subgradient > 0:
-            if b == ceiling:
-                raise ArithmeticError("subgradient never changed sign; lambda overflow")
-            a, b = b, min(b * _BRACKET_FACTOR, ceiling)
-            e_b, minima_b = evaluate.full(b)
-    else:
-        # Stop stepping down at the bisection's tolerance; a = 0 is known to
-        # be on the positive side.
-        while b / _BRACKET_FACTOR > _tolerance(lambda_tol, b):
-            e_mid, minima_mid = evaluate.full(b / _BRACKET_FACTOR)
-            if e_mid.subgradient > 0:
-                a = b / _BRACKET_FACTOR
-                break
-            b, minima_b = b / _BRACKET_FACTOR, minima_mid
-
-    # 2. Every argmin at any lam in [a, b] is among the candidates.
-    evaluate.build_candidates(a, minima_b)
-
-    # 3. Replay the bisection from [0, n log n]. Points outside [a, b] have a
-    # known subgradient sign and are skipped.
-    visited = [e_zero, e_top]
-    skipped = []
-
-    def probe(lam: float) -> tuple[bool, Optional[DualEvaluation]]:
-        if lam < a or lam > b:
-            skipped.append(lam)
-            return lam < a, None
-        e = evaluate.on_candidates(lam)
-        visited.append(e)
-        return e.subgradient > 0, e
-
-    lo, e_lo, hi, e_hi = 0.0, e_zero, top, e_top
-    positive = e_top.subgradient > 0
-    while positive:  # ends by b, which is within the overflow guard
-        lo, e_lo = hi, e_hi
-        hi *= 2.0
-        positive, e_hi = probe(hi)
-
-    while hi - lo > _tolerance(lambda_tol, hi):
-        mid = 0.5 * (lo + hi)
-        positive, e_mid = probe(mid)
-        if positive:
-            lo, e_lo = mid, e_mid
+    phi_best = e_zero.phi
+    e_lo = e_hi = e_zero
+    lam = 0.0
+    if e_zero.subgradient > 0:
+        # 1. A bracket [a, b] with subgradient > 0 at a and <= 0 at b, from
+        # full evaluations stepped geometrically away from n log n.
+        b = instance.n * math.log(instance.n)
+        e_hi, minima_b = evaluate.full(b)
+        phi_best = max(phi_best, e_hi.phi)
+        if e_hi.subgradient > 0:
+            ceiling = b  # the last doubling of n log n within the guard
+            while ceiling * 2.0 <= _LAMBDA_OVERFLOW_GUARD:
+                ceiling *= 2.0
+            while e_hi.subgradient > 0:
+                if b == ceiling:
+                    raise ArithmeticError("subgradient never changed sign; lambda overflow")
+                e_lo, b = e_hi, min(b * _BRACKET_FACTOR, ceiling)
+                e_hi, minima_b = evaluate.full(b)
+                phi_best = max(phi_best, e_hi.phi)
         else:
-            hi, e_hi = mid, e_mid
+            # a = 0 is on the positive side; the floor only bounds the
+            # number of full passes.
+            while b / _BRACKET_FACTOR > _BRACKET_FLOOR * (1.0 + b):
+                e_mid, minima_mid = evaluate.full(b / _BRACKET_FACTOR)
+                phi_best = max(phi_best, e_mid.phi)
+                if e_mid.subgradient > 0:
+                    e_lo = e_mid
+                    break
+                e_hi, minima_b, b = e_mid, minima_mid, e_mid.lam
 
-    if e_lo is None:
-        e_lo = evaluate(lo)
-        visited.append(e_lo)
-    if e_hi is None:
-        e_hi = evaluate(hi)
-        visited.append(e_hi)
-    phi_best = max(e.phi for e in visited)
-    # phi_star is the largest phi among the points the bisection visits,
-    # skipped ones included. By weak duality a skipped point's phi is at most
-    # W + lam*(C - c0) of the end point's mapping on its side; only where
-    # that bound comes within rounding of phi_best, as where phi is flat, is
-    # the point evaluated.
-    for lam in skipped:
-        if lam in (lo, hi):
-            continue
-        near = e_lo.argmin if lam < lo else e_hi.argmin
-        bound = near.weight + lam * (near.cost - c0)
-        slack = _PHI_ROUNDING * (near.weight + lam * near.cost + lam * c0)
-        if bound + slack >= phi_best:
-            phi_best = max(phi_best, evaluate(lam).phi)
-    return optimum(hi, phi_best, e_lo, e_hi)
+        # 2. Every argmin at any lam in [a, b] is among the candidates.
+        evaluate.build_candidates(e_lo.lam, minima_b)
+
+        # 3. Meet the bracket mappings' lines W + lam*(C - c0). Where they
+        # meet, either the argmin is one of them, and lam is the breakpoint
+        # that maximises phi, or it is a mapping strictly below both, which
+        # replaces the end on its side. Each step narrows (lo, hi).
+        weights, costs = instance.weights, instance.costs
+        while True:
+            low, high = e_lo.argmin, e_hi.argmin
+            # Summed over only the rows where the two differ, the totals'
+            # rounding does not swamp the differences.
+            rows = np.flatnonzero(low.f != high.f)
+            dw = weights[rows, high.f[rows]] - weights[rows, low.f[rows]]
+            dc = costs[rows, low.f[rows]] - costs[rows, high.f[rows]]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lam = float(dw.sum() / dc.sum())
+            if not e_lo.lam < lam < e_hi.lam:
+                # rounding: clamp into [lo, hi], taking hi for nan
+                lam = max(e_lo.lam, min(e_hi.lam, lam))
+                break
+            e = evaluate.on_candidates(lam)
+            phi_best = max(phi_best, e.phi)
+            if (e.argmin.weight, e.argmin.cost) in (
+                (low.weight, low.cost), (high.weight, high.cost)
+            ):
+                break
+            if e.subgradient > 0:
+                e_lo = e
+            else:
+                e_hi = e
+
+    return DualOptimum(
+        lambda_star=lam, phi_star=phi_best,
+        mapping_low=e_lo.argmin, mapping_high=e_hi.argmin,
+        full_evaluations=evaluate.full_evaluations,
+        candidate_evaluations=evaluate.candidate_evaluations,
+        candidate_width=evaluate.candidate_width,
+    )
 
 
 def default_tighten(instance: Instance, c0: float) -> float:
@@ -394,7 +357,6 @@ def _solve_mapping_full(
     instance: Instance,
     c0: float,
     tighten: Optional[float] = None,
-    lambda_tol: Optional[float] = None,
 ) -> tuple[MappingSolution, DualOptimum]:
     if c0 <= 0:
         raise ValueError(f"c0 must be positive, got {c0}")
@@ -416,7 +378,7 @@ def _solve_mapping_full(
             f"tighten {tighten:.6g} leaves non-positive working budget from c0={c0:.6g}"
         )
 
-    opt = _maximize_dual(instance, c0_tight, lambda_tol, cheapest)
+    opt = _maximize_dual(instance, c0_tight, cheapest)
     lam = opt.lambda_star
 
     candidates = [opt.mapping_high]
@@ -452,10 +414,7 @@ def _solve_mapping_full(
 
 
 def solve_mapping(
-    instance: Instance,
-    c0: float,
-    tighten: Optional[float] = None,
-    lambda_tol: Optional[float] = None,
+    instance: Instance, c0: float, tighten: Optional[float] = None
 ) -> MappingSolution:
     """Near-optimal feasible mapping with a weak-duality certificate.
 
@@ -465,7 +424,7 @@ def solve_mapping(
     ``tighten=None`` applies default_tighten; the reported lower bound always
     refers to the original budget.
     """
-    solution, _ = _solve_mapping_full(instance, c0, tighten, lambda_tol)
+    solution, _ = _solve_mapping_full(instance, c0, tighten)
     return solution
 
 
@@ -492,11 +451,8 @@ def empirical_concentration(
 
     values = np.empty(trials)
     for t in range(trials):
-        inst = generate(n, s, seed + t)
-        with np.errstate(invalid="ignore"):
-            scores = inst.weights + lam * inst.costs
-        np.fill_diagonal(scores, np.inf)
-        values[t] = scores.min(axis=1).sum()
+        # Each instance is freed before the next is drawn.
+        values[t] = _PhiEvaluator(generate(n, s, seed + t), 0.0).full(lam)[1].sum()
     mean = float(values.mean())
     rel_std = float(values.std(ddof=1) / mean) if trials > 1 else 0.0
     max_rel_dev = float(np.abs(values - mean).max() / mean)

@@ -128,17 +128,41 @@ def generate_sandwich(
     return SandwichPair(lower=lower, upper=upper, actual=actual, epsilon_n=eps)
 
 
+def _model_violation(n: int, s: float, weights: np.ndarray, costs: np.ndarray) -> str | None:
+    """Why an instance from outside the program falls outside the model, or
+    None: the model needs n >= 2, 0 < s <= 1, a +inf diagonal and finite,
+    nonnegative off-diagonal weights and costs."""
+    if n < 2:
+        return f"n must be at least 2, got {n}"
+    if not 0.0 < s <= 1.0:
+        return f"s must lie in (0, 1], got {s}"
+    for name, m in (("weight", weights), ("cost", costs)):
+        if not np.isposinf(m.diagonal()).all():
+            return f"every diagonal {name} must be +inf"
+        # with a +inf diagonal, exactly the off-diagonal entries are finite
+        if np.count_nonzero(np.isfinite(m)) != n * n - n:
+            return f"every off-diagonal {name} must be finite"
+        if m.min() < 0:
+            return f"{name}s must be nonnegative, got {m.min()!r}"
+    return None
+
+
 def from_arrays(weights, costs, s: float = 1.0, seed: int = 0) -> Instance:
-    """Build an instance from explicit matrices (diagonal is overwritten)."""
+    """Build an instance from explicit matrices (diagonal is overwritten).
+
+    Raises ValueError unless n >= 2, 0 < s <= 1 and every off-diagonal
+    weight and cost is finite and nonnegative.
+    """
     w = np.array(weights, dtype=np.float64)
     c = np.array(costs, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape != c.shape:
         raise ValueError(f"expected matching square matrices, got {w.shape} and {c.shape}")
     n = w.shape[0]
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
     np.fill_diagonal(w, np.inf)
     np.fill_diagonal(c, np.inf)
+    problem = _model_violation(n, s, w, c)
+    if problem:
+        raise ValueError(problem)
     return Instance(n=n, s=s, weights=w, costs=c, seed=seed)
 
 
@@ -154,7 +178,11 @@ def save(instance: Instance, path) -> None:
 
 
 def load(path) -> Instance:
-    """Read an instance file written by save()."""
+    """Read an instance file written by save().
+
+    Raises InstanceFormatError for a malformed file and for one whose
+    instance is outside the model (see from_arrays).
+    """
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise InstanceFormatError(f"{path}: too short for a header ({len(data)} bytes)")
@@ -176,6 +204,9 @@ def load(path) -> Instance:
     costs = np.frombuffer(
         data, dtype="<f8", count=n * n, offset=_HEADER.size + block
     ).reshape(n, n).copy()
+    problem = _model_violation(n, s, weights, costs)
+    if problem:
+        raise InstanceFormatError(f"{path}: {problem}")
     return Instance(n=n, s=s, weights=weights, costs=costs, seed=seed)
 
 

@@ -127,7 +127,7 @@ class TestExperimentCommand:
         )
         assert code == 0
         payload = json.loads((tmp_path / "exp.json").read_text())
-        assert payload["schema"] == 1 and len(payload["rows"]) == 3
+        assert payload["schema"] == 2 and len(payload["rows"]) == 3
         assert (tmp_path / "exp.csv").read_text().count("\n") == 4
 
     def test_csv_to_stdout(self, capsys):

@@ -13,6 +13,7 @@ from costarb import (
     run_expectation_check,
     run_oracle_suite,
 )
+from costarb import dual
 from costarb.harness import derive_trial_seed, write_report
 
 
@@ -27,13 +28,13 @@ def small_config(**overrides):
 class TestBudgetSpec:
     def test_resolution(self):
         assert BudgetSpec("absolute", 7.5).resolve(100) == 7.5
-        assert BudgetSpec("alpha_const", 2.0).resolve(100) == 2.0
         assert BudgetSpec("alpha_n", 0.3).resolve(100) == pytest.approx(30.0)
         assert BudgetSpec("power", 0.5).resolve(100) == pytest.approx(10.0)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            BudgetSpec("mystery", 1.0).resolve(10)
+        for kind in ("mystery", "alpha_const"):
+            with pytest.raises(ValueError):
+                BudgetSpec(kind, 1.0).resolve(10)
 
 
 class TestTrialSeeds:
@@ -86,14 +87,14 @@ class TestRunExperiment:
     def test_schema_and_files(self, tmp_path):
         report = run_experiment(small_config())
         payload = report.to_dict()
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert "parallelism" not in payload["config"]
         jp, cp = tmp_path / "r.json", tmp_path / "r.csv"
         write_report(report, jp, cp)
         loaded = json.loads(jp.read_text())
         assert loaded["c0"] == report.c0
         header = cp.read_text().splitlines()[0]
-        assert header.startswith("trial,seed,lambda_star,phi_star,w_map")
+        assert header.startswith("trial,seed,lambda_star,lower_bound,w_map")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -146,6 +147,19 @@ class TestOracleSuite:
     def test_block_600_passes(self):
         report = run_oracle_suite(108, range(4, 7), seed=600)
         assert report.passed, report.violations
+
+    def test_one_dual_solve_per_instance_and_check(self, monkeypatch):
+        # checks (b) and (d) share one solve; the pipeline (c) makes the other
+        calls = []
+        maximize = dual._maximize_dual
+        monkeypatch.setattr(
+            dual, "_maximize_dual", lambda *args: calls.append(1) or maximize(*args)
+        )
+        report = run_oracle_suite(108, (4, 5, 6), 601)
+        assert len(calls) == 216
+        assert report.to_dict() == {
+            "instances": 108, "checks": 432, "violations": [], "passed": True
+        }
 
     def test_includes_n2_edge_case(self):
         report = run_oracle_suite(10, [2], seed=9)

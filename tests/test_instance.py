@@ -10,12 +10,13 @@ from costarb import (
     InstanceFormatError,
     coupling_epsilon,
     export_csv,
+    from_arrays,
     generate,
     generate_sandwich,
     load,
     save,
 )
-from costarb.instance import _uniform_matrices
+from costarb.instance import _HEADER, _MAGIC, _VERSION, _uniform_matrices
 
 # Philox output is algorithmically pinned, so the exact bytes are stable
 # across platforms and numpy versions.
@@ -186,6 +187,63 @@ class TestSaveLoad:
         back = load(path)
         assert np.array_equal(back.weights, inst.weights)
         assert np.array_equal(back.costs, inst.costs)
+
+
+def _write_carb(path, weights, costs, s=1.0, seed=0):
+    """A .carb file holding the given matrices as they are."""
+    w = np.asarray(weights, dtype="<f8")
+    c = np.asarray(costs, dtype="<f8")
+    header = _HEADER.pack(_MAGIC, _VERSION, w.shape[0], s, seed)
+    path.write_bytes(header + w.tobytes() + c.tobytes())
+    return path
+
+
+def _outside_the_model():
+    """(weights, costs, s, message) per way an instance can leave the model;
+    diagonals hold +inf as save() writes them."""
+    base = generate(3, 1.0, 1)
+    nan_weight = base.weights.copy()
+    nan_weight[0, 1] = np.nan
+    inf_cost = base.costs.copy()
+    inf_cost[2, 0] = np.inf
+    negative_cost = base.costs.copy()
+    negative_cost[1, 2] = -0.25
+    w, c = base.weights, base.costs
+    return [
+        pytest.param(nan_weight, c, 1.0, "finite", id="nan-weight"),
+        pytest.param(w, inf_cost, 1.0, "finite", id="inf-cost"),
+        pytest.param(w, negative_cost, 1.0, "nonnegative", id="negative-cost"),
+        pytest.param(w, c, -3.0, "s must", id="s=-3"),
+        pytest.param(w, c, 1.5, "s must", id="s=1.5"),
+        pytest.param([[np.inf]], [[np.inf]], 1.0, "n must", id="n=1"),
+    ]
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("weights, costs, s, message", _outside_the_model())
+    def test_from_arrays_rejects(self, weights, costs, s, message):
+        with pytest.raises(ValueError, match=message):
+            from_arrays(weights, costs, s=s)
+
+    @pytest.mark.parametrize("weights, costs, s, message", _outside_the_model())
+    def test_load_rejects(self, weights, costs, s, message, tmp_path):
+        path = _write_carb(tmp_path / "bad.carb", weights, costs, s)
+        with pytest.raises(InstanceFormatError, match=message):
+            load(path)
+
+    def test_load_rejects_a_finite_diagonal(self, tmp_path):
+        base = generate(3, 1.0, 1)
+        weights = base.weights.copy()
+        np.fill_diagonal(weights, 0.0)
+        with pytest.raises(InstanceFormatError, match="diagonal"):
+            load(_write_carb(tmp_path / "zero.carb", weights, base.costs))
+
+    def test_boundary_values_accepted(self, tmp_path):
+        zeros = np.zeros((2, 2))
+        inst = from_arrays(zeros, zeros, s=1.0)
+        assert inst.weights[0, 1] == 0.0 and np.isinf(inst.weights[0, 0])
+        back = load(_write_carb(tmp_path / "zeros.carb", inst.weights, inst.costs, s=1e-9))
+        assert back.s == 1e-9 and back.costs[1, 0] == 0.0
 
 
 def test_csv_export_round_trips_values(tmp_path):
