@@ -440,8 +440,9 @@ def solve_constrained_arborescence(
 
     The lower bound certifies the constrained-mapping optimum at the original
     budget. The trace records the dual maximiser, how many dual evaluations
-    of each kind it took, how many cycles were broken and edges added, and
-    how much of the tightening margin the repair used.
+    of each kind it took, its candidate columns per row, how many cycles
+    were broken and edges added, and how much of the tightening margin the
+    repair used.
     """
     solution, opt = _solve_mapping_full(instance, c0, tighten)
     dec = decompose(solution.mapping)
@@ -461,5 +462,7 @@ def solve_constrained_arborescence(
         "slack_used": arb.cost - solution.mapping.cost,
         "dual_full_evaluations": opt.full_evaluations,
         "dual_candidate_evaluations": opt.candidate_evaluations,
+        "dual_sample_evaluations": opt.sample_evaluations,
+        "dual_candidate_width": opt.candidate_width,
     }
     return PipelineResult(arborescence=arb, lower_bound=solution.lower_bound, trace=trace)

@@ -15,10 +15,16 @@ duality gap to at most one edge weight.
 The maximiser is found exactly, in three stages, of which only the first
 scans the whole n x n matrix:
 
-1. Full evaluations stepped geometrically from n log n find a bracket
-   [a, b] with subgradient > 0 at a and <= 0 at b.
+1. Full evaluations find a bracket [a, b] with subgradient > 0 at a and
+   <= 0 at b. The per-row terms of phi concentrate, so from n = 512 on the
+   same three stages first run on every eighth row at the budget scaled to
+   those rows; their maximiser lam^ puts b at 1.5*lam^ and a at lam^/1.5.
+   Without such an estimate b starts at n log n and a at b/8. An end with
+   the wrong sign steps outward by a factor of 8. The estimate only picks
+   where the full passes look: every bracket is confirmed by them.
 2. Each row keeps as candidates the columns j with fl(W + a*C) <= its
-   minimum at b. Rounding is monotone, so every argmin at any lam in
+   minimum at b, collected during the pass at a when b's minima are
+   already known. Rounding is monotone, so every argmin at any lam in
    [a, b], ties included, is a candidate.
 3. Each mapping's phi-line is W + lam*(C - c0). The lines of the argmins
    at the two bracket ends meet at some lam in between, where the argmin is
@@ -47,6 +53,12 @@ _LAMBDA_OVERFLOW_GUARD = 1e30
 _BRACKET_FACTOR = 8.0
 # Relative lower end of the downward bracket search.
 _BRACKET_FLOOR = 1e-10
+# The row sample: every _SAMPLE_STRIDE-th row, used from the size at which
+# it holds 64 rows. Its maximiser, widened by _SAMPLE_MARGIN each way, is
+# the first guess at the bracket.
+_SAMPLE_STRIDE = 8
+_SAMPLE_MIN_N = 512
+_SAMPLE_MARGIN = 1.5
 # Rows per block of a full scan: a block of W + lam*C stays in cache between
 # being computed and being scanned, and no n x n work array is needed.
 _ROW_BLOCK = 32
@@ -76,8 +88,9 @@ class DualOptimum:
     the lambda=0 argmin when that fits the budget).
 
     The counters are deterministic: n x n evaluations, evaluations on the
-    per-row candidate columns, and the padded number of candidates per row
-    (0 when none were built).
+    per-row candidate columns, the padded number of candidates per row
+    (0 when none were built), and the evaluations, of either kind, on the
+    row sample that gave the bracket search its start (0 when none ran).
     """
 
     lambda_star: float
@@ -87,6 +100,7 @@ class DualOptimum:
     full_evaluations: int
     candidate_evaluations: int
     candidate_width: int
+    sample_evaluations: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,31 +127,38 @@ def make_mapping(instance: Instance, f: np.ndarray) -> Mapping:
 class _PhiEvaluator:
     """Dual evaluations on one instance, counted by kind.
 
-    A full evaluation scans W + lam*C block by block of rows through a
-    reusable buffer. Once ``build_candidates`` has run, ``on_candidates``
-    scans only each row's candidate columns, with the same arithmetic and
-    the same gather-and-sum, so it returns the full evaluation bit for bit
-    at any lam in the bracket the candidates were built for.
+    The evaluator scans rows 0, stride, 2*stride, ... only: stride 1 is the
+    whole instance, a larger stride a fixed sample of its rows, whose
+    mappings and totals cover those rows alone. A full evaluation scans
+    W + lam*C block by block of those rows through a reusable buffer. Once
+    ``keep_candidates`` has run, ``on_candidates`` scans only each row's
+    candidate columns, with the same arithmetic and the same
+    gather-and-sum, so it returns the full evaluation bit for bit at any lam
+    in the bracket the candidates were collected for.
     """
 
-    def __init__(self, instance: Instance, c0: float):
+    def __init__(self, instance: Instance, c0: float, stride: int = 1):
         self.instance = instance
         self.c0 = c0
-        self._rows = np.arange(instance.n)
-        self._block = np.empty((min(instance.n, _ROW_BLOCK), instance.n))
+        self.stride = stride
+        self.rows = np.arange(0, instance.n, stride)
+        self._block = np.empty((min(len(self.rows), _ROW_BLOCK), instance.n))
         self.full_evaluations = 0
         self.candidate_evaluations = 0
         self.candidate_width = 0
 
     def _scores(self, r0: int, lam: float) -> np.ndarray:
-        """W + lam*C on the block of rows from r0 on, diagonal +inf."""
+        """W + lam*C on the scanned rows of the block from row r0, diagonal +inf."""
         inst = self.instance
-        rows = slice(r0, min(r0 + _ROW_BLOCK, inst.n))
-        scores = self._block[: rows.stop - r0]
+        # a basic slice: a view of the instance's rows, not a copy
+        rows = slice(r0, min(r0 + _ROW_BLOCK * self.stride, inst.n), self.stride)
+        costs = inst.costs[rows]
+        scores = self._block[: len(costs)]
         with np.errstate(invalid="ignore"):  # lam=0 turns the inf diagonal into nan
-            np.multiply(inst.costs[rows], lam, out=scores)
+            np.multiply(costs, lam, out=scores)
         scores += inst.weights[rows]
-        scores.reshape(-1)[r0 :: inst.n + 1] = np.inf  # entries (i, r0 + i)
+        # entries (t, r0 + t*stride): row t's own column
+        scores.reshape(-1)[r0 :: inst.n + self.stride] = np.inf
         return scores
 
     def _evaluation(self, lam: float, f, w_chosen, c_chosen) -> DualEvaluation:
@@ -151,54 +172,63 @@ class _PhiEvaluator:
             subgradient=cost - self.c0,
         )
 
-    def full(self, lam: float) -> tuple[DualEvaluation, np.ndarray]:
-        """Full evaluation plus each row's minimum of W + lam*C."""
+    def full(
+        self, lam: float, minima_above: Optional[np.ndarray] = None
+    ) -> tuple[DualEvaluation, np.ndarray, Optional[np.ndarray]]:
+        """Full evaluation plus each row's minimum of W + lam*C.
+
+        Given the row minima at some b > lam, the same pass also collects
+        the candidates for [lam, b]: the flat indices (row * n + column,
+        rows counted among the scanned ones) of the entries with
+        fl(W + lam*C) <= their row's minimum at b. Rounding is monotone and
+        costs are nonnegative, so for every lam' in [lam, b] each column
+        attaining the row minimum, ties included, is among them.
+        """
         inst = self.instance
-        f = np.empty(inst.n, dtype=np.intp)
-        minima = np.empty(inst.n)
-        for r0 in range(0, inst.n, _ROW_BLOCK):
+        n, m = inst.n, len(self.rows)
+        f = np.empty(m, dtype=np.intp)
+        minima = np.empty(m)
+        found = []
+        for r0 in range(0, n, _ROW_BLOCK * self.stride):
             scores = self._scores(r0, lam)
+            t0 = r0 // self.stride
+            t1 = t0 + len(scores)
             block_f = scores.argmin(axis=1)  # first occurrence = smallest column
-            f[r0 : r0 + len(scores)] = block_f
-            minima[r0 : r0 + len(scores)] = scores[np.arange(len(scores)), block_f]
+            f[t0:t1] = block_f
+            minima[t0:t1] = scores[np.arange(len(scores)), block_f]
+            if minima_above is not None:
+                mask = scores <= minima_above[t0:t1, None]
+                found.append(mask.reshape(-1).nonzero()[0] + t0 * n)
         self.full_evaluations += 1
-        rows = self._rows
+        rows = self.rows
         e = self._evaluation(lam, f, inst.weights[rows, f], inst.costs[rows, f])
-        return e, minima
+        return e, minima, (np.concatenate(found) if found else None)
 
     def __call__(self, lam: float) -> DualEvaluation:
         return self.full(lam)[0]
 
-    def build_candidates(self, a: float, minima_b: np.ndarray) -> None:
-        """Keep, per row, the columns j with fl(W + a*C) <= the row's minimum
-        at some b >= a.
+    def keep_candidates(self, found: np.ndarray) -> None:
+        """Use the candidates ``full`` collected as each row's columns.
 
-        Rounding is monotone and costs are nonnegative, so for lam in [a, b]
-        every column attaining the row minimum, ties included, passes the
-        test. Columns are kept ascending, so argmin's first occurrence is
-        still the smallest column. Rows are padded with W = inf, C = 0.
+        Flat indices ascend, so each row's columns do too, and argmin's first
+        occurrence is still the smallest column. Rows are padded with
+        W = inf, C = 0.
         """
         inst = self.instance
-        n = inst.n
-        found_rows, found_cols = [], []
-        for r0 in range(0, n, _ROW_BLOCK):
-            scores = self._scores(r0, a)
-            r, c = np.nonzero(scores <= minima_b[r0 : r0 + len(scores), None])
-            found_rows.append(r + r0)
-            found_cols.append(c)
-        rows = np.concatenate(found_rows)
-        cols = np.concatenate(found_cols)
-        counts = np.bincount(rows, minlength=n)
-        slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        m = len(self.rows)
+        t, cols = np.divmod(found, inst.n)
+        counts = np.bincount(t, minlength=m)
+        slot = np.arange(len(t)) - (np.cumsum(counts) - counts)[t]
         k = int(counts.max())
-        self._cand_cols = np.zeros((n, k), dtype=np.intp)
-        self._cand_w = np.full((n, k), np.inf)
-        self._cand_c = np.zeros((n, k))
-        self._cand_cols[rows, slot] = cols
-        self._cand_w[rows, slot] = inst.weights[rows, cols]
-        self._cand_c[rows, slot] = inst.costs[rows, cols]
-        self._cand_buf = np.empty((n, k))
-        self._cand_offsets = self._rows * k
+        rows = self.rows[t]
+        self._cand_cols = np.zeros((m, k), dtype=np.intp)
+        self._cand_w = np.full((m, k), np.inf)
+        self._cand_c = np.zeros((m, k))
+        self._cand_cols[t, slot] = cols
+        self._cand_w[t, slot] = inst.weights[rows, cols]
+        self._cand_c[t, slot] = inst.costs[rows, cols]
+        self._cand_buf = np.empty((m, k))
+        self._cand_offsets = np.arange(m) * k
         self.candidate_width = k
 
     def on_candidates(self, lam: float) -> DualEvaluation:
@@ -229,61 +259,111 @@ def maximize_dual(instance: Instance, c0: float) -> DualOptimum:
     """Maximise phi(., c0) exactly: the maximiser is a breakpoint of phi.
 
     If the unconstrained weight-minimal mapping already fits the budget the
-    maximiser is lambda=0. Otherwise a bracket found by full evaluations is
-    narrowed by meeting the two bracket mappings' lines on the per-row
-    candidate columns (see the module docstring) until the argmin where they
-    meet is one of the two. Raises InfeasibleBudgetError when even the
-    per-row cost-minimal mapping exceeds c0.
+    maximiser is lambda=0. Otherwise a bracket, started from the maximiser of
+    a row sample's dual when n is large enough and confirmed by full
+    evaluations, is narrowed by meeting the two bracket mappings' lines on
+    the per-row candidate columns (see the module docstring) until the
+    argmin where they meet is one of the two. Raises InfeasibleBudgetError
+    when even the per-row cost-minimal mapping exceeds c0.
 
     phi_star is the largest phi evaluated, a weak-duality certificate. The
     counters on the result say how many evaluations of each kind were made.
     """
-    return _maximize_dual(instance, c0, min_cost_sum(instance))
+    return _maximize_dual(instance, c0, instance.costs.min(axis=1))
 
 
-def _maximize_dual(instance: Instance, c0: float, cheapest: float) -> DualOptimum:
-    """maximize_dual, given the cheapest mapping's cost ``cheapest``."""
+def _maximize_dual(instance: Instance, c0: float, cost_minima: np.ndarray) -> DualOptimum:
+    """maximize_dual, given each row's cheapest cost ``cost_minima``."""
     if c0 <= 0:
         raise ValueError(f"c0 must be positive, got {c0}")
+    return _solve_dual(_PhiEvaluator(instance, c0), cost_minima)
+
+
+def _sample_estimate(instance: Instance, c0: float, cost_minima: np.ndarray) -> tuple[float, int]:
+    """The maximiser of the dual of rows 0, s, 2s, ... (s = _SAMPLE_STRIDE)
+    at the budget scaled to their number, or 0 when that dual has none
+    above 0, plus the evaluations it took. It is only a start for the full
+    bracket search, so it never raises."""
+    m = len(range(0, instance.n, _SAMPLE_STRIDE))
+    sample = _PhiEvaluator(instance, c0 * m / instance.n, _SAMPLE_STRIDE)
+    try:
+        estimate = _solve_dual(sample, cost_minima[::_SAMPLE_STRIDE]).lambda_star
+    except (InfeasibleBudgetError, ArithmeticError):
+        estimate = 0.0
+    return estimate, sample.full_evaluations + sample.candidate_evaluations
+
+
+def _lambda_ceiling(n: int) -> float:
+    """The last doubling of n log n within the overflow guard: the bracket
+    search gives up above it, whatever its start, so whether it raises
+    ArithmeticError does not depend on the row sample."""
+    ceiling = n * math.log(n)
+    while ceiling * 2.0 <= _LAMBDA_OVERFLOW_GUARD:
+        ceiling *= 2.0
+    return ceiling
+
+
+def _solve_dual(evaluate: _PhiEvaluator, cost_minima: np.ndarray) -> DualOptimum:
+    """Maximise the dual of the rows ``evaluate`` scans, whose cheapest
+    costs are ``cost_minima``."""
+    c0 = evaluate.c0
+    cheapest = float(cost_minima.sum())
     if cheapest > c0:
         raise InfeasibleBudgetError(
             f"cheapest mapping costs {cheapest:.6g} > budget {c0:.6g}"
         )
 
-    evaluate = _PhiEvaluator(instance, c0)
+    instance = evaluate.instance
+    n = instance.n
     e_zero = evaluate(0.0)
     phi_best = e_zero.phi
     e_lo = e_hi = e_zero
     lam = 0.0
+    sample_evaluations = 0
     if e_zero.subgradient > 0:
-        # 1. A bracket [a, b] with subgradient > 0 at a and <= 0 at b, from
-        # full evaluations stepped geometrically away from n log n.
-        b = instance.n * math.log(instance.n)
-        e_hi, minima_b = evaluate.full(b)
+        # 1. A bracket [a, b] with subgradient > 0 at a and <= 0 at b. Full
+        # evaluations start at b = 1.5 and a = 1/1.5 times the row sample's
+        # maximiser or, without one, at b = n log n and a = b/8, and step
+        # outward geometrically from whichever end has the wrong sign.
+        estimate = 0.0
+        if evaluate.stride == 1 and n >= _SAMPLE_MIN_N:
+            estimate, sample_evaluations = _sample_estimate(instance, c0, cost_minima)
+        if estimate > 0:
+            b = min(estimate * _SAMPLE_MARGIN, _lambda_ceiling(n))
+            below = estimate / _SAMPLE_MARGIN
+        else:
+            b = n * math.log(n)
+            below = b / _BRACKET_FACTOR
+        e_hi, minima_b, _ = evaluate.full(b)
         phi_best = max(phi_best, e_hi.phi)
+        found = None
         if e_hi.subgradient > 0:
-            ceiling = b  # the last doubling of n log n within the guard
-            while ceiling * 2.0 <= _LAMBDA_OVERFLOW_GUARD:
-                ceiling *= 2.0
+            ceiling = _lambda_ceiling(n)
             while e_hi.subgradient > 0:
                 if b == ceiling:
                     raise ArithmeticError("subgradient never changed sign; lambda overflow")
                 e_lo, b = e_hi, min(b * _BRACKET_FACTOR, ceiling)
-                e_hi, minima_b = evaluate.full(b)
+                e_hi, minima_b, _ = evaluate.full(b)
                 phi_best = max(phi_best, e_hi.phi)
         else:
             # a = 0 is on the positive side; the floor only bounds the
-            # number of full passes.
-            while b / _BRACKET_FACTOR > _BRACKET_FLOOR * (1.0 + b):
-                e_mid, minima_mid = evaluate.full(b / _BRACKET_FACTOR)
+            # number of full passes. Each pass below b also collects the
+            # candidates for [its lam, b], kept if it turns out to be a.
+            while below > _BRACKET_FLOOR * (1.0 + b):
+                e_mid, minima_mid, found = evaluate.full(below, minima_b)
                 phi_best = max(phi_best, e_mid.phi)
                 if e_mid.subgradient > 0:
                     e_lo = e_mid
                     break
-                e_hi, minima_b, b = e_mid, minima_mid, e_mid.lam
+                e_hi, minima_b, b, found = e_mid, minima_mid, below, None
+                below = b / _BRACKET_FACTOR
 
-        # 2. Every argmin at any lam in [a, b] is among the candidates.
-        evaluate.build_candidates(e_lo.lam, minima_b)
+        # 2. Every argmin at any lam in [a, b] is among the candidates. A
+        # bracket found stepping upward, or at the floor, takes one more
+        # pass at a to collect them.
+        if found is None:
+            found = evaluate.full(e_lo.lam, minima_b)[2]
+        evaluate.keep_candidates(found)
 
         # 3. Meet the bracket mappings' lines W + lam*(C - c0). Where they
         # meet, either the argmin is one of them, and lam is the breakpoint
@@ -294,9 +374,10 @@ def _maximize_dual(instance: Instance, c0: float, cheapest: float) -> DualOptimu
             low, high = e_lo.argmin, e_hi.argmin
             # Summed over only the rows where the two differ, the totals'
             # rounding does not swamp the differences.
-            rows = np.flatnonzero(low.f != high.f)
-            dw = weights[rows, high.f[rows]] - weights[rows, low.f[rows]]
-            dc = costs[rows, low.f[rows]] - costs[rows, high.f[rows]]
+            d = np.flatnonzero(low.f != high.f)
+            rows = evaluate.rows[d]
+            dw = weights[rows, high.f[d]] - weights[rows, low.f[d]]
+            dc = costs[rows, low.f[d]] - costs[rows, high.f[d]]
             with np.errstate(divide="ignore", invalid="ignore"):
                 lam = float(dw.sum() / dc.sum())
             if not e_lo.lam < lam < e_hi.lam:
@@ -320,6 +401,7 @@ def _maximize_dual(instance: Instance, c0: float, cheapest: float) -> DualOptimu
         full_evaluations=evaluate.full_evaluations,
         candidate_evaluations=evaluate.candidate_evaluations,
         candidate_width=evaluate.candidate_width,
+        sample_evaluations=sample_evaluations,
     )
 
 
@@ -378,7 +460,7 @@ def _solve_mapping_full(
             f"tighten {tighten:.6g} leaves non-positive working budget from c0={c0:.6g}"
         )
 
-    opt = _maximize_dual(instance, c0_tight, cheapest)
+    opt = _maximize_dual(instance, c0_tight, cheap_costs)
     lam = opt.lambda_star
 
     candidates = [opt.mapping_high]

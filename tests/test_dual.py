@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import dataclass
 
@@ -68,6 +69,27 @@ class TestPhi:
     def test_rejects_negative_lambda(self, worked):
         with pytest.raises(ValueError):
             phi(worked, -0.1, 1.0)
+
+    @pytest.mark.parametrize("n", [9, 600])
+    def test_row_sample_is_the_full_scan_restricted(self, n):
+        # Every eighth row, over several row blocks at n=600: the argmins,
+        # row minima and candidates of the full scan on those rows, bit for
+        # bit, lam = 0 (where the diagonal must be set, not computed)
+        # included.
+        inst = generate(n, 0.6, 2)
+        whole = dual_module._PhiEvaluator(inst, 1.0)
+        sample = dual_module._PhiEvaluator(inst, 1.0, 8)
+        rows = np.arange(0, n, 8)
+        assert sample.rows.tolist() == rows.tolist()
+        for lam, b in ((0.0, 0.5), (0.5, 2.0), (3.0, 3.0)):
+            minima_b = whole.full(b)[1]
+            e, minima, found = whole.full(lam, minima_b)
+            e_s, minima_s, found_s = sample.full(lam, minima_b[rows])
+            assert e_s.argmin.f.tolist() == e.argmin.f[rows].tolist()
+            assert minima_s.tobytes() == minima[rows].tobytes()
+            kept = np.isin(found // n, rows)
+            t, cols = np.divmod(found_s, n)
+            assert (rows[t] * n + cols).tolist() == found[kept].tolist()
 
 
 class TestMaximizeDual:
@@ -178,6 +200,34 @@ class TestSolveMapping:
             c0 = min_cost_sum(inst) * 1.05
             sol = solve_mapping(inst, c0)  # default tighten
             assert sol.mapping.cost <= c0
+
+
+class TestExhaustiveDualChecks:
+    """The oracle suite's dual checks on inputs its instances never have:
+    s < 1, and tie-heavy grids of eighths at c0 = min_cost_sum exactly
+    (sums of eighths are exact, so that budget is met with equality)."""
+
+    def check(self, inst, c0):
+        sol, opt = dual_module._solve_mapping_full(inst, c0, tighten=0.0)
+        exact = exact_mapping_oracle(inst, c0)
+        assert opt.phi_star <= exact.weight + 1e-9, c0
+        assert sol.mapping.weight <= sol.lower_bound + sol.w_max_used + 1e-9, c0
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("s", [0.6, 0.3])
+    def test_power_law(self, n, s):
+        for seed in range(100):
+            inst = generate(n, s, seed)
+            for c0 in _oracle_budgets(inst)[1:]:
+                self.check(inst, c0)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_grid_of_eighths_at_the_cheapest_budget(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(100):
+            inst = from_arrays(rng.integers(0, 9, (n, n)) / 8, rng.integers(0, 9, (n, n)) / 8)
+            if min_cost_sum(inst) > 0:  # a budget must be positive
+                self.check(inst, min_cost_sum(inst))
 
 
 class TestMappingStability:
@@ -381,6 +431,16 @@ def _breakpoint_maximum(inst, c0):
 
 
 _SHIPPED_BRACKET_FACTOR = dual_module._BRACKET_FACTOR
+_SHIPPED_SAMPLE_MIN_N = dual_module._SAMPLE_MIN_N
+
+
+def _apply_variant(monkeypatch, variant):
+    """A bracket factor other than the shipped one, or "unsampled": no row
+    sample at any n, so the bracket search starts at n log n."""
+    if variant == "unsampled":
+        monkeypatch.setattr(dual_module, "_SAMPLE_MIN_N", sys.maxsize)
+    elif variant is not None:
+        monkeypatch.setattr(dual_module, "_BRACKET_FACTOR", variant)
 
 
 class TestReplayEquality:
@@ -389,14 +449,14 @@ class TestReplayEquality:
     The bisection stops at a width of 1e-10 * (1 + hi) around the maximiser;
     the exact maximiser must land inside that bracket with the same two
     mappings and at least the same phi, up to rounding. Bracket factors 3
-    and 32 move the bracket ends off the shipped factor's; lambda* and the
-    mappings must not change with them.
+    and 32 move the bracket ends off the shipped factor's, and "unsampled"
+    starts every bracket search at n log n instead of at the row sample's
+    estimate; lambda* and the mappings must not change with either.
     """
 
-    @pytest.fixture(params=[None, 3.0, 32.0])
-    def bracket_factor(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(dual_module, "_BRACKET_FACTOR", request.param)
+    @pytest.fixture(params=[None, 3.0, 32.0, "unsampled"])
+    def bracket_variant(self, request, monkeypatch):
+        _apply_variant(monkeypatch, request.param)
         return request.param
 
     def assert_matches_reference(self, inst, c0):
@@ -417,6 +477,7 @@ class TestReplayEquality:
         differ by rounding."""
         with pytest.MonkeyPatch.context() as m:
             m.setattr(dual_module, "_BRACKET_FACTOR", _SHIPPED_BRACKET_FACTOR)
+            m.setattr(dual_module, "_SAMPLE_MIN_N", _SHIPPED_SAMPLE_MIN_N)
             shipped = _solve(maximize_dual, inst, c0)
         if isinstance(shipped, type):
             assert opt is shipped, (inst.n, c0)
@@ -427,12 +488,12 @@ class TestReplayEquality:
         assert opt.phi_star == pytest.approx(shipped.phi_star, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_oracle_sizes(self, n, bracket_factor):
+    def test_oracle_sizes(self, n, bracket_variant):
         for seed in range(40):
             inst = generate(n, 1.0, seed)
             for c0 in _oracle_budgets(inst):
                 opt = self.assert_matches_reference(inst, c0)
-                if bracket_factor is not None:
+                if bracket_variant is not None:
                     self.assert_same_as_shipped(inst, c0, opt)
 
     @pytest.mark.parametrize("n", [300, 1000])
@@ -441,36 +502,48 @@ class TestReplayEquality:
         inst = generate(n, s, 1)
         for c0 in (math.sqrt(n), 0.2 * n, 3.0, 0.6 * n, min_cost_sum(inst)):
             self.assert_matches_reference(inst, c0)
-            for factor in (3.0, 32.0):
+            for variant in (3.0, 32.0, "unsampled"):
                 with pytest.MonkeyPatch.context() as m:
-                    m.setattr(dual_module, "_BRACKET_FACTOR", factor)
+                    _apply_variant(m, variant)
                     opt = _solve(maximize_dual, inst, c0)
                 self.assert_same_as_shipped(inst, c0, opt)
 
+    def assert_optimal_on_grid(self, inst, c0):
+        """Ties may make the maximiser an interval or choose a different tied
+        optimal pair than the bisection, so only the optimality conditions
+        are checked."""
+        opt = _solve(maximize_dual, inst, c0)
+        ref = _solve(reference_maximize_dual, inst, c0)
+        if isinstance(ref, type):
+            assert opt is ref
+            return
+        lam = opt.lambda_star
+        assert opt.mapping_high.cost <= c0
+        assert lam == 0.0 or opt.mapping_low.cost > c0
+        scale = 1.0 + opt.mapping_low.weight + lam * (opt.mapping_low.cost + c0)
+        for m in (opt.mapping_low, opt.mapping_high):
+            assert abs(_line(m, lam, c0) - opt.phi_star) <= 1e-12 * scale
+        assert opt.phi_star >= ref.phi_star - 1e-12 * abs(ref.phi_star)
+
     @pytest.mark.parametrize("n", [3, 8, 40])
-    def test_ties_on_a_grid_of_eighths(self, n, bracket_factor):
-        # Ties may make the maximiser an interval or choose a different tied
-        # optimal pair than the bisection, so only the optimality conditions
-        # are checked here.
+    def test_ties_on_a_grid_of_eighths(self, n, bracket_variant):
         rng = np.random.default_rng(n)
         for _ in range(30):
             inst = from_arrays(rng.integers(0, 9, (n, n)) / 8, rng.integers(0, 9, (n, n)) / 8)
             low = min_cost_sum(inst)
             for c0 in (low, low + 0.0625, low + 0.125, low + 1.0, n / 2):
-                opt = _solve(maximize_dual, inst, c0)
-                ref = _solve(reference_maximize_dual, inst, c0)
-                if isinstance(ref, type):
-                    assert opt is ref
-                    continue
-                lam = opt.lambda_star
-                assert opt.mapping_high.cost <= c0
-                assert lam == 0.0 or opt.mapping_low.cost > c0
-                scale = 1.0 + opt.mapping_low.weight + lam * (opt.mapping_low.cost + c0)
-                for m in (opt.mapping_low, opt.mapping_high):
-                    assert abs(_line(m, lam, c0) - opt.phi_star) <= 1e-12 * scale
-                assert opt.phi_star >= ref.phi_star - 1e-12 * abs(ref.phi_star)
+                self.assert_optimal_on_grid(inst, c0)
 
-    def test_maximiser_above_n_log_n(self, bracket_factor):
+    def test_ties_on_a_grid_of_eighths_sampled(self, bracket_variant):
+        n = 600
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            inst = from_arrays(rng.integers(0, 9, (n, n)) / 8, rng.integers(0, 9, (n, n)) / 8)
+            low = min_cost_sum(inst)
+            for c0 in (low, low + 0.125, low + 1.0, math.sqrt(n), n / 2):
+                self.assert_optimal_on_grid(inst, c0)
+
+    def test_maximiser_above_n_log_n(self, bracket_variant):
         # heavy weights push lambda* past the first upper end, n log n, and
         # the heaviest past the overflow guard
         for seed in range(20):
@@ -484,6 +557,59 @@ class TestReplayEquality:
         assert maximize_dual(inst, min_cost_sum(inst) * 1.01).lambda_star > 6 * math.log(6)
         with pytest.raises(ArithmeticError):
             maximize_dual(from_arrays(base.weights * 1e40, base.costs), min_cost_sum(base))
+
+        # At a size with a row sample, whose own search may overflow too.
+        base = generate(600, 1.0, 1)
+        inst = from_arrays(base.weights * 1e6, base.costs)
+        low = min_cost_sum(inst)
+        for c0 in (low, low * 1.01, low * 1.3):
+            opt = self.assert_matches_reference(inst, c0)
+            self.assert_same_as_shipped(inst, c0, opt)
+            assert opt.lambda_star > 600 * math.log(600)
+        with pytest.raises(ArithmeticError):
+            maximize_dual(from_arrays(base.weights * 1e40, base.costs), min_cost_sum(base))
+
+        # lambda* 1.1 times the search's last upper end (the last doubling
+        # of n log n within 1e30), the sample's estimate (0.79 lambda* on
+        # this instance) below it and 1.5 times the estimate above it: the
+        # search raises from either start.
+        base = generate(600, 1.0, 0)
+        ceiling = 600 * math.log(600)
+        while ceiling * 2.0 <= 1e30:
+            ceiling *= 2.0
+        scale = 1.1 * ceiling / maximize_dual(base, 120.0).lambda_star
+        inst = from_arrays(base.weights * scale, base.costs)
+        opt = _solve(maximize_dual, inst, 120.0)
+        assert opt is ArithmeticError
+        self.assert_same_as_shipped(inst, 120.0, opt)
+
+    @pytest.mark.parametrize("s", [1.0, 0.6])
+    def test_sample_infeasible_at_the_cheapest_budget(self, s, bracket_variant):
+        # At c0 = min_cost_sum the sample's scaled budget is below its own
+        # cheapest cost on about half the instances (seeds 0, 1 and 3 here),
+        # and the search starts at n log n as without a sample.
+        fallbacks = 0
+        for seed in range(4):
+            inst = generate(600, s, seed)
+            c0 = min_cost_sum(inst)
+            opt = self.assert_matches_reference(inst, c0)
+            self.assert_same_as_shipped(inst, c0, opt)
+            fallbacks += opt.sample_evaluations == 0
+        assert fallbacks >= 1
+
+    def test_sample_estimate_far_off(self, bracket_variant):
+        # Every sampled row's weights x100 put the estimate far above
+        # lambda*, so both first bracket ends are on the same side and the
+        # search steps outward.
+        base = generate(600, 1.0, 1)
+        weights = base.weights.copy()
+        weights[:: dual_module._SAMPLE_STRIDE] *= 100
+        inst = from_arrays(weights, base.costs)
+        for c0 in (math.sqrt(600), 0.2 * 600, 3.0):
+            opt = self.assert_matches_reference(inst, c0)
+            self.assert_same_as_shipped(inst, c0, opt)
+            if bracket_variant is None:
+                assert opt.full_evaluations > 3
 
     def test_rejected_inputs(self, worked):
         for c0 in (0.5, 0.0):
@@ -502,23 +628,32 @@ class TestReplayEquality:
 
 class TestDualCounters:
     def test_full_evaluations_pinned(self):
-        # At n=1000, c0=sqrt(n) the plain bisection makes about fifty full
-        # evaluations; the bracket search makes this many, and the line
-        # meeting this many on the candidates.
-        inst = generate(1000, 1.0, 1)
-        opt = maximize_dual(inst, math.sqrt(1000))
-        assert opt.full_evaluations == 7
-        assert opt.candidate_evaluations == 9
-        assert 0 < opt.candidate_width < inst.n
+        # At c0=sqrt(n) the plain bisection makes about fifty full
+        # evaluations. The row sample's own search makes `sample` evaluations
+        # on every eighth row; the full bracket search then needs lambda=0,
+        # b and a, whose pass also collects the candidates; the line meeting
+        # makes `candidate` evaluations on them.
+        for n, full, candidate, sample in ((1000, 3, 9, 15), (3000, 3, 11, 17)):
+            inst = generate(n, 1.0, 1)
+            opt = maximize_dual(inst, math.sqrt(n))
+            assert opt.full_evaluations == full, n
+            assert opt.candidate_evaluations == candidate, n
+            assert opt.sample_evaluations == sample, n
+            assert 0 < opt.candidate_width < inst.n
 
     def test_slack_budget_makes_one_evaluation(self, worked):
         opt = maximize_dual(worked, 2.0)
-        assert (opt.full_evaluations, opt.candidate_evaluations, opt.candidate_width) == (1, 0, 0)
+        assert (
+            opt.full_evaluations, opt.candidate_evaluations,
+            opt.candidate_width, opt.sample_evaluations,
+        ) == (1, 0, 0, 0)
 
     def test_pipeline_trace_carries_counters(self):
-        inst = generate(200, 1.0, 3)
-        c0 = math.sqrt(200)
+        inst = generate(600, 1.0, 3)
+        c0 = math.sqrt(600)
         trace = solve_constrained_arborescence(inst, c0, tighten=0.0).trace
         opt = maximize_dual(inst, c0)
         assert trace["dual_full_evaluations"] == opt.full_evaluations
         assert trace["dual_candidate_evaluations"] == opt.candidate_evaluations
+        assert trace["dual_sample_evaluations"] == opt.sample_evaluations > 0
+        assert trace["dual_candidate_width"] == opt.candidate_width > 0
