@@ -58,12 +58,9 @@ from .harness import (
 )
 from .instance import (
     Instance,
-    SandwichPair,
-    coupling_epsilon,
     export_csv,
     from_arrays,
     generate,
-    generate_sandwich,
     load,
     save,
 )

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .dual import Mapping, _solve_mapping_full, make_mapping
+from .dual import Mapping, make_mapping, solve_mapping
 from .errors import InfeasibleBudgetError, RepairBudgetExceededError, SizeLimitError
 from .instance import Instance
 
@@ -107,9 +107,10 @@ def uniform_mapping(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def repair(
-    mapping: Mapping, instance: Instance, c0: float, lambda_star: float
+    mapping: Mapping, instance: Instance, c0: float, lambda_star: float, dec: Decomposition
 ) -> Arborescence:
-    """Break every cycle and reconnect into one spanning parent structure.
+    """Break every cycle of ``mapping``, whose decomposition is ``dec``, and
+    reconnect into one spanning parent structure.
 
     The largest component is processed first: the cycle vertex whose out-edge
     has the largest W + lambda*C (ties: smallest index) loses that edge and
@@ -120,13 +121,6 @@ def repair(
     and RepairBudgetExceededError is raised at the end, carrying the
     completed structure.
     """
-    return _repair(mapping, instance, c0, lambda_star, decompose(mapping))
-
-
-def _repair(
-    mapping: Mapping, instance: Instance, c0: float, lambda_star: float, dec: Decomposition
-) -> Arborescence:
-    """repair, given the mapping's decomposition ``dec``."""
     if lambda_star < 0:
         raise ValueError(f"lambda_star must be nonnegative, got {lambda_star}")
     n = instance.n
@@ -444,9 +438,10 @@ def solve_constrained_arborescence(
     were broken and edges added, and how much of the tightening margin the
     repair used.
     """
-    solution, opt = _solve_mapping_full(instance, c0, tighten)
+    solution = solve_mapping(instance, c0, tighten)
+    opt = solution.dual
     dec = decompose(solution.mapping)
-    arb = _repair(solution.mapping, instance, c0, opt.lambda_star, dec)
+    arb = repair(solution.mapping, instance, c0, opt.lambda_star, dec)
     ok, diags = validate(arb, instance)
     if not ok:
         raise AssertionError(f"repair produced an invalid arborescence: {diags}")

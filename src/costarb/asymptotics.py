@@ -170,11 +170,6 @@ class ExpectedMin(NamedTuple):
     regime: str
 
 
-# Validity band for the s<1 formula is ((log n / n)^s, (n / log n)^s); allow
-# a one-log-factor guard on each side before raising.
-_S_RANGE_GUARD_LOG_FACTOR = 1.0
-
-
 def expected_min(n: int, lam: float, s: float = 1.0) -> ExpectedMin:
     """Leading-order E[min_i (X_i + lam*Y_i)] over n i.i.d. U**s pairs.
 
@@ -203,7 +198,8 @@ def expected_min(n: int, lam: float, s: float = 1.0) -> ExpectedMin:
             return ExpectedMin(f_eval(lam * n) / n, "E2")
         return ExpectedMin(1.0 / n, "E1")
 
-    guard = math.exp(_S_RANGE_GUARD_LOG_FACTOR * math.log(log_n)) if log_n > 1 else 1.0
+    # allow a factor log n (at least 1) outside the band on each side
+    guard = max(log_n, 1.0)
     lo = (log_n / n) ** s
     hi = (n / log_n) ** s
     if lam < lo / guard or lam > hi * guard:
@@ -253,8 +249,8 @@ def predict(n: int, c0: float, s: float = 1.0) -> Prediction:
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    if c0 <= 0:
-        raise ValueError(f"c0 must be positive, got {c0}")
+    if not 0.0 < c0 < math.inf:
+        raise ValueError(f"c0 must be positive and finite, got {c0}")
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")
     log_n = math.log(n)

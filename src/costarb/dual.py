@@ -12,6 +12,11 @@ column tie-break, so its maximiser is the breakpoint where the subgradient
 changes sign. The feasible-side argmin plus a one-row swap closes the
 duality gap to at most one edge weight.
 
+Each row's cheapest-cost edge, which the instance finds once
+(``Instance.cheapest_costs``), serves twice: the costs sum to the cheapest
+any mapping can cost, so a smaller budget is infeasible, and the edges are
+the lam -> inf argmins that the one-row swap moves a row onto.
+
 The maximiser is found exactly, in three stages, of which only the first
 scans the whole n x n matrix:
 
@@ -45,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfeasibleBudgetError, TightenTooLargeError
-from .instance import Instance
+from .instance import _ROW_BLOCK, Instance
 
 _LAMBDA_OVERFLOW_GUARD = 1e30
 # Step of the bracket search: a larger step saves full evaluations but widens
@@ -59,9 +64,6 @@ _BRACKET_FLOOR = 1e-10
 _SAMPLE_STRIDE = 8
 _SAMPLE_MIN_N = 512
 _SAMPLE_MARGIN = 1.5
-# Rows per block of a full scan: a block of W + lam*C stays in cache between
-# being computed and being scanned, and no n x n work array is needed.
-_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,12 +107,14 @@ class DualOptimum:
 
 @dataclass(frozen=True, eq=False)
 class MappingSolution:
-    """Feasible mapping plus the dual certificate bounding the optimum below."""
+    """Feasible mapping plus the dual certificate bounding the optimum below,
+    and the dual optimum at the tightened budget it was chosen from."""
 
     mapping: Mapping
     lower_bound: float
     w_max_used: float
     c_max_used: float
+    dual: DualOptimum
 
 
 def make_mapping(instance: Instance, f: np.ndarray) -> Mapping:
@@ -241,18 +245,22 @@ class _PhiEvaluator:
         )
 
 
+def _check_budget(c0: float) -> None:
+    if not 0.0 < c0 < math.inf:
+        raise ValueError(f"c0 must be positive and finite, got {c0}")
+
+
 def phi(instance: Instance, lam: float, c0: float) -> DualEvaluation:
     """Single dual evaluation: per-row argmin of W + lam*C in one O(n^2) scan."""
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    if c0 <= 0:
-        raise ValueError(f"c0 must be positive, got {c0}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
+    _check_budget(c0)
     return _PhiEvaluator(instance, c0)(lam)
 
 
 def min_cost_sum(instance: Instance) -> float:
     """Sum of per-row cost minima: the cheapest any mapping can cost."""
-    return float(instance.costs.min(axis=1).sum())
+    return float(instance.cheapest_costs[1].sum())
 
 
 def maximize_dual(instance: Instance, c0: float) -> DualOptimum:
@@ -264,22 +272,17 @@ def maximize_dual(instance: Instance, c0: float) -> DualOptimum:
     evaluations, is narrowed by meeting the two bracket mappings' lines on
     the per-row candidate columns (see the module docstring) until the
     argmin where they meet is one of the two. Raises InfeasibleBudgetError
-    when even the per-row cost-minimal mapping exceeds c0.
+    when even the per-row cost-minimal mapping exceeds c0, and ValueError
+    unless 0 < c0 < inf.
 
     phi_star is the largest phi evaluated, a weak-duality certificate. The
     counters on the result say how many evaluations of each kind were made.
     """
-    return _maximize_dual(instance, c0, instance.costs.min(axis=1))
+    _check_budget(c0)
+    return _solve_dual(_PhiEvaluator(instance, c0))
 
 
-def _maximize_dual(instance: Instance, c0: float, cost_minima: np.ndarray) -> DualOptimum:
-    """maximize_dual, given each row's cheapest cost ``cost_minima``."""
-    if c0 <= 0:
-        raise ValueError(f"c0 must be positive, got {c0}")
-    return _solve_dual(_PhiEvaluator(instance, c0), cost_minima)
-
-
-def _sample_estimate(instance: Instance, c0: float, cost_minima: np.ndarray) -> tuple[float, int]:
+def _sample_estimate(instance: Instance, c0: float) -> tuple[float, int]:
     """The maximiser of the dual of rows 0, s, 2s, ... (s = _SAMPLE_STRIDE)
     at the budget scaled to their number, or 0 when that dual has none
     above 0, plus the evaluations it took. It is only a start for the full
@@ -287,7 +290,7 @@ def _sample_estimate(instance: Instance, c0: float, cost_minima: np.ndarray) -> 
     m = len(range(0, instance.n, _SAMPLE_STRIDE))
     sample = _PhiEvaluator(instance, c0 * m / instance.n, _SAMPLE_STRIDE)
     try:
-        estimate = _solve_dual(sample, cost_minima[::_SAMPLE_STRIDE]).lambda_star
+        estimate = _solve_dual(sample).lambda_star
     except (InfeasibleBudgetError, ArithmeticError):
         estimate = 0.0
     return estimate, sample.full_evaluations + sample.candidate_evaluations
@@ -303,11 +306,11 @@ def _lambda_ceiling(n: int) -> float:
     return ceiling
 
 
-def _solve_dual(evaluate: _PhiEvaluator, cost_minima: np.ndarray) -> DualOptimum:
-    """Maximise the dual of the rows ``evaluate`` scans, whose cheapest
-    costs are ``cost_minima``."""
+def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
+    """Maximise the dual of the rows ``evaluate`` scans."""
     c0 = evaluate.c0
-    cheapest = float(cost_minima.sum())
+    # the scanned rows are every stride-th one
+    cheapest = float(evaluate.instance.cheapest_costs[1][:: evaluate.stride].sum())
     if cheapest > c0:
         raise InfeasibleBudgetError(
             f"cheapest mapping costs {cheapest:.6g} > budget {c0:.6g}"
@@ -327,7 +330,7 @@ def _solve_dual(evaluate: _PhiEvaluator, cost_minima: np.ndarray) -> DualOptimum
         # outward geometrically from whichever end has the wrong sign.
         estimate = 0.0
         if evaluate.stride == 1 and n >= _SAMPLE_MIN_N:
-            estimate, sample_evaluations = _sample_estimate(instance, c0, cost_minima)
+            estimate, sample_evaluations = _sample_estimate(instance, c0)
         if estimate > 0:
             b = min(estimate * _SAMPLE_MARGIN, _lambda_ceiling(n))
             below = estimate / _SAMPLE_MARGIN
@@ -413,46 +416,37 @@ def default_tighten(instance: Instance, c0: float) -> float:
     the gap to the cheapest possible mapping so tightening alone can never
     fabricate infeasibility.
     """
-    return _default_tighten(instance.n, c0, min_cost_sum(instance))
-
-
-def _default_tighten(n: int, c0: float, cheapest: float) -> float:
+    n = instance.n
     log_n = math.log(n)
     if c0 <= log_n:
         rule = min(n ** -0.5, c0 / 2.0)
     else:
         rule = min(1.0, c0 * n ** -0.25 * log_n)
-    headroom = c0 - cheapest
+    headroom = c0 - min_cost_sum(instance)
     return max(0.0, min(rule, headroom / 2.0))
 
 
-def _row_argmin(matrix: np.ndarray) -> np.ndarray:
-    """np.argmin(matrix, axis=1), block by block of rows: numpy copies a
-    read-only matrix whole to take its argmin."""
-    return np.concatenate([
-        np.argmin(matrix[r0 : r0 + _ROW_BLOCK], axis=1)
-        for r0 in range(0, matrix.shape[0], _ROW_BLOCK)
-    ])
+def solve_mapping(
+    instance: Instance, c0: float, tighten: Optional[float] = None
+) -> MappingSolution:
+    """Near-optimal feasible mapping with a weak-duality certificate.
 
-
-def _solve_mapping_full(
-    instance: Instance,
-    c0: float,
-    tighten: Optional[float] = None,
-) -> tuple[MappingSolution, DualOptimum]:
-    if c0 <= 0:
-        raise ValueError(f"c0 must be positive, got {c0}")
-    n = instance.n
-    rows = np.arange(n)
-    # Each row's cheapest-cost edge, found once: their costs sum to
-    # min_cost_sum bit for bit, for the feasibility check and the tightening
-    # headroom, and the one-row swap below moves a row onto one of them.
-    cheap_cols = _row_argmin(instance.costs)
-    cheap_costs = instance.costs[rows, cheap_cols]
-    cheapest = float(cheap_costs.sum())
+    Maximises the dual at the tightened budget c0 - tighten, then returns the
+    lightest among the feasible-side mapping, the infeasible-side mapping if
+    it happens to fit, and its best single-row swap to a cheapest-cost edge.
+    ``tighten=None`` applies default_tighten; the reported lower bound always
+    refers to the original budget. Raises ValueError unless 0 < c0 < inf and
+    tighten >= 0.
+    """
+    _check_budget(c0)
+    rows = np.arange(instance.n)
+    # Each row's cheapest-cost edge, found here once per instance: the
+    # tightening headroom, the dual's feasibility check and the one-row swap
+    # below all read them.
+    cheap_cols, cheap_costs = instance.cheapest_costs
     if tighten is None:
-        tighten = _default_tighten(n, c0, cheapest)
-    if tighten < 0:
+        tighten = default_tighten(instance, c0)
+    if not tighten >= 0:
         raise ValueError(f"tighten must be nonnegative, got {tighten}")
     c0_tight = c0 - tighten
     if c0_tight <= 0:
@@ -460,7 +454,7 @@ def _solve_mapping_full(
             f"tighten {tighten:.6g} leaves non-positive working budget from c0={c0:.6g}"
         )
 
-    opt = _maximize_dual(instance, c0_tight, cheap_costs)
+    opt = maximize_dual(instance, c0_tight)
     lam = opt.lambda_star
 
     candidates = [opt.mapping_high]
@@ -489,25 +483,9 @@ def _solve_mapping_full(
     )
     w_max = float(instance.weights[rows, best.f].max())
     c_max = float(instance.costs[rows, best.f].max())
-    solution = MappingSolution(
-        mapping=best, lower_bound=lower_bound, w_max_used=w_max, c_max_used=c_max
+    return MappingSolution(
+        mapping=best, lower_bound=lower_bound, w_max_used=w_max, c_max_used=c_max, dual=opt
     )
-    return solution, opt
-
-
-def solve_mapping(
-    instance: Instance, c0: float, tighten: Optional[float] = None
-) -> MappingSolution:
-    """Near-optimal feasible mapping with a weak-duality certificate.
-
-    Maximises the dual at the tightened budget c0 - tighten, then returns the
-    lightest among the feasible-side mapping, the infeasible-side mapping if
-    it happens to fit, and its best single-row swap to a cheapest-cost edge.
-    ``tighten=None`` applies default_tighten; the reported lower bound always
-    refers to the original budget.
-    """
-    solution, _ = _solve_mapping_full(instance, c0, tighten)
-    return solution
 
 
 @dataclass(frozen=True)

@@ -73,8 +73,8 @@ class ExperimentConfig:
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be at least 1, got {self.parallelism}")
         c0 = self.budget.resolve(self.n)
-        if not c0 > 0:
-            raise ValueError(f"budget resolves to non-positive {c0}")
+        if not 0 < c0 < math.inf:
+            raise ValueError(f"budget must resolve to a positive finite value, got {c0}")
         if self.tighten is not None and not 0 <= self.tighten < c0:
             raise ValueError(f"tighten {self.tighten} must lie in [0, c0={c0})")
         return c0
@@ -359,7 +359,7 @@ def run_oracle_suite(
         # One dual solve serves checks (b) and (d); an error it raises is
         # recorded by each of them as their own calls once did.
         try:
-            solved = dual._solve_mapping_full(inst, c0, tighten=0.0)
+            solved = dual.solve_mapping(inst, c0, tighten=0.0)
         except CostarbError as exc:
             solved = exc
 
@@ -368,7 +368,7 @@ def run_oracle_suite(
             if isinstance(solved, CostarbError):
                 raise solved
             exact_map = arb_mod.exact_mapping_oracle(inst, c0)
-            phi_star = solved[1].phi_star
+            phi_star = solved.dual.phi_star
             if phi_star > exact_map.weight + 1e-9:
                 record("weak-duality", f"phi* {phi_star!r} > IP {exact_map.weight!r}")
         except InfeasibleBudgetError as exc:
@@ -387,14 +387,13 @@ def run_oracle_suite(
         try:
             if isinstance(solved, CostarbError):
                 raise solved
-            sol = solved[0]
-            bound = sol.lower_bound + sol.w_max_used + 1e-9
+            bound = solved.lower_bound + solved.w_max_used + 1e-9
             if _corrupt_check == "gap":
                 bound -= 1.0
-            if sol.mapping.weight > bound:
+            if solved.mapping.weight > bound:
                 record(
                     "gap-sandwich",
-                    f"weight {sol.mapping.weight!r} > phi*+w_max {bound!r}",
+                    f"weight {solved.mapping.weight!r} > phi*+w_max {bound!r}",
                 )
         except CostarbError as exc:
             record("gap-sandwich", f"{type(exc).__name__}: {exc}")

@@ -16,11 +16,10 @@ matrix followed by the cost matrix.
 from __future__ import annotations
 
 import csv
-import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -30,6 +29,9 @@ _MAGIC = b"CARB"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQdQ")  # magic, version, n, s, seed
 _MASK64 = (1 << 64) - 1
+# Rows per block of a row scan: a block stays in cache while it is scanned,
+# and no n x n work array is needed.
+_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,29 +48,19 @@ class Instance:
         self.weights.flags.writeable = False
         self.costs.flags.writeable = False
 
-
-@dataclass(frozen=True, eq=False)
-class SandwichPair:
-    """Coupled triple bracketing a general edge distribution.
-
-    ``lower`` and ``upper`` are power-law instances with exponents
-    s + epsilon_n and s - epsilon_n; ``actual`` applies the caller's quantile
-    function. All three are transforms of the same per-edge uniforms, so
-    lower <= actual <= upper edgewise wherever the actual value is small
-    (below ``epsilon_n`` for any distribution with F(t) ~ t**(1/s) near 0).
-    """
-
-    lower: Instance
-    upper: Instance
-    actual: Instance
-    epsilon_n: float
-
-
-def coupling_epsilon(n: int) -> float:
-    """Exponent gap used by the sandwich coupling: 1 / (10 log n)."""
-    if n <= 2:
-        raise ValueError(f"n must exceed 2 for the coupling, got {n}")
-    return 1.0 / (10.0 * math.log(n))
+    @cached_property
+    def cheapest_costs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's cheapest-cost edge: its column (ties: the smallest) and
+        its cost. Found once per instance, block by block of rows: numpy
+        copies a read-only matrix whole to take its argmin."""
+        cols = np.concatenate([
+            np.argmin(self.costs[r0 : r0 + _ROW_BLOCK], axis=1)
+            for r0 in range(0, self.n, _ROW_BLOCK)
+        ])
+        costs = self.costs[np.arange(self.n), cols]
+        cols.flags.writeable = False
+        costs.flags.writeable = False
+        return cols, costs
 
 
 def _uniform_matrices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -91,41 +83,6 @@ def generate(n: int, s: float, seed: int) -> Instance:
             np.power(u, s, out=u)
         np.fill_diagonal(u, np.inf)
     return Instance(n=n, s=s, weights=weights, costs=costs, seed=seed)
-
-
-def generate_sandwich(
-    n: int, s: float, inverse_cdf: Callable[[np.ndarray], np.ndarray], seed: int
-) -> SandwichPair:
-    """Generate power-law bracket instances and an ``actual`` instance coupled
-    through the same uniforms.
-
-    ``inverse_cdf`` must be the (vectorised) quantile function of a
-    distribution with F(t) ~ t**(1/s) as t -> 0; callers pre-scale so the
-    leading constant is 1.
-    """
-    eps = coupling_epsilon(n)  # rejects n <= 2
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s must lie in (0, 1], got {s}")
-    if s - eps <= 0.0:
-        raise ValueError(f"coupling gap {eps:.4g} swallows exponent s={s}")
-
-    u_weights, u_costs = _uniform_matrices(n, seed)
-
-    def build(transform) -> tuple[np.ndarray, np.ndarray]:
-        w = np.asarray(transform(u_weights), dtype=np.float64)
-        c = np.asarray(transform(u_costs), dtype=np.float64)
-        np.fill_diagonal(w, np.inf)
-        np.fill_diagonal(c, np.inf)
-        return w, c
-
-    lo_w, lo_c = build(lambda u: np.power(u, s + eps))
-    hi_w, hi_c = build(lambda u: np.power(u, s - eps))
-    ac_w, ac_c = build(inverse_cdf)
-
-    lower = Instance(n=n, s=s + eps, weights=lo_w, costs=lo_c, seed=seed)
-    upper = Instance(n=n, s=s - eps, weights=hi_w, costs=hi_c, seed=seed)
-    actual = Instance(n=n, s=s, weights=ac_w, costs=ac_c, seed=seed)
-    return SandwichPair(lower=lower, upper=upper, actual=actual, epsilon_n=eps)
 
 
 def _model_violation(n: int, s: float, weights: np.ndarray, costs: np.ndarray) -> str | None:

@@ -76,7 +76,7 @@ class TestDecompose:
 class TestRepair:
     def test_single_cycle_deletion_only(self, worked):
         m = make_mapping(worked, [1, 0, 1])
-        arb = repair(m, worked, 10.0, 0.0)
+        arb = repair(m, worked, 10.0, 0.0, decompose(m))
         assert arb.root in (0, 1)
         ok, diags = validate(arb, worked)
         assert ok, diags
@@ -86,7 +86,7 @@ class TestRepair:
 
     def test_pure_cycle_becomes_path(self, worked):
         m = make_mapping(worked, [1, 2, 0])
-        arb = repair(m, worked, 10.0, 0.0)
+        arb = repair(m, worked, 10.0, 0.0, decompose(m))
         ok, _ = validate(arb, worked)
         assert ok
         assert arb.weight == pytest.approx(m.weight - worked.weights[arb.root, m.f[arb.root]])
@@ -96,7 +96,7 @@ class TestRepair:
         f = np.array([1, 0, 3, 2, 0, 2])  # cycles {0,1} and {2,3}
         m = make_mapping(inst, f)
         c0 = m.cost + 1.0
-        arb = repair(m, inst, c0, 0.5)
+        arb = repair(m, inst, c0, 0.5, decompose(m))
         ok, diags = validate(arb, inst)
         assert ok, diags
         assert arb.cost <= c0
@@ -117,7 +117,7 @@ class TestRepair:
         inst = from_arrays(w, c)
         m = make_mapping(inst, [1, 0, 3, 2])
         with pytest.raises(RepairBudgetExceededError) as exc_info:
-            repair(m, inst, m.cost + 1.0, 0.0)
+            repair(m, inst, m.cost + 1.0, 0.0, decompose(m))
         best = exc_info.value.best_effort
         assert isinstance(best, Arborescence)
         ok, _ = validate(best, inst)
@@ -129,7 +129,7 @@ class TestRepair:
             rng = np.random.default_rng(seed)
             m = make_mapping(inst, uniform_mapping(8, rng))
             c0 = m.cost + 0.5
-            arb = repair(m, inst, c0, 1.0)
+            arb = repair(m, inst, c0, 1.0, decompose(m))
             ok, diags = validate(arb, inst)
             assert ok, diags
             assert arb.cost <= c0

@@ -292,3 +292,8 @@ class TestPredict:
             predict(100, -1.0, 1.0)
         with pytest.raises(ValueError):
             predict(100, 5.0, 0.0)
+
+    @pytest.mark.parametrize("c0", [math.inf, math.nan])
+    def test_rejects_a_non_finite_budget(self, c0):
+        with pytest.raises(ValueError, match="finite"):
+            predict(100, c0, 1.0)

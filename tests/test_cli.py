@@ -49,6 +49,14 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
 
+    @pytest.mark.parametrize("command", ["solve", "dual", "predict", "experiment"])
+    @pytest.mark.parametrize("c0", ["inf", "nan"])
+    def test_non_finite_budget(self, capsys, command, c0):
+        code, out, err = run_cli(capsys, command, "--n", "30", "--c0", c0)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
 
 class TestSolve:
     def test_slack_budget_solves(self, capsys):

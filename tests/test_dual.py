@@ -14,6 +14,7 @@ from costarb import (
     Mapping,
     TightenTooLargeError,
     empirical_concentration,
+    exact_arborescence_oracle,
     exact_mapping_oracle,
     from_arrays,
     generate,
@@ -202,15 +203,46 @@ class TestSolveMapping:
             assert sol.mapping.cost <= c0
 
 
+class TestNonFiniteInputs:
+    """0 * inf is nan: a budget or multiplier that is not finite is refused,
+    not turned into a nan bound or a wrong "infeasible"."""
+
+    @pytest.mark.parametrize("c0", [math.inf, math.nan, 0.0])
+    def test_budget_refused(self, worked, c0):
+        for call in (
+            lambda: phi(worked, 0.5, c0),
+            lambda: maximize_dual(worked, c0),
+            lambda: solve_mapping(worked, c0),
+            lambda: solve_mapping(worked, c0, tighten=0.0),
+            lambda: solve_constrained_arborescence(worked, c0),
+        ):
+            with pytest.raises(ValueError, match="c0"):
+                call()
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, -0.1])
+    def test_multiplier_refused(self, worked, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            phi(worked, lam, 1.4)
+
+    @pytest.mark.parametrize("tighten", [math.nan, -0.1])
+    def test_tighten_refused(self, worked, tighten):
+        with pytest.raises(ValueError, match="tighten"):
+            solve_mapping(worked, 1.4, tighten=tighten)
+
+    def test_oracles_accept_an_unbounded_budget(self, worked):
+        assert exact_mapping_oracle(worked, math.inf).weight == pytest.approx(0.70)
+        assert exact_arborescence_oracle(worked, math.inf).cost < math.inf
+
+
 class TestExhaustiveDualChecks:
     """The oracle suite's dual checks on inputs its instances never have:
     s < 1, and tie-heavy grids of eighths at c0 = min_cost_sum exactly
     (sums of eighths are exact, so that budget is met with equality)."""
 
     def check(self, inst, c0):
-        sol, opt = dual_module._solve_mapping_full(inst, c0, tighten=0.0)
+        sol = solve_mapping(inst, c0, tighten=0.0)
         exact = exact_mapping_oracle(inst, c0)
-        assert opt.phi_star <= exact.weight + 1e-9, c0
+        assert sol.dual.phi_star <= exact.weight + 1e-9, c0
         assert sol.mapping.weight <= sol.lower_bound + sol.w_max_used + 1e-9, c0
 
     @pytest.mark.parametrize("n", [4, 5, 6])

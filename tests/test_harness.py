@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import math
 
@@ -13,7 +15,7 @@ from costarb import (
     run_expectation_check,
     run_oracle_suite,
 )
-from costarb import dual
+from costarb import Instance, dual
 from costarb.harness import derive_trial_seed, write_report
 
 
@@ -102,6 +104,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(small_config(budget=BudgetSpec("absolute", -1.0)))
 
+    @pytest.mark.parametrize("c0", [math.inf, math.nan])
+    def test_rejects_a_non_finite_budget(self, c0):
+        with pytest.raises(ValueError, match="finite"):
+            run_experiment(small_config(budget=BudgetSpec("absolute", c0)))
+
     def test_prediction_attached_when_regime_known(self):
         config = ExperimentConfig(
             n=400, s=1.0, trials=2, base_seed=1, budget=BudgetSpec("power", 0.5)
@@ -151,15 +158,24 @@ class TestOracleSuite:
     def test_one_dual_solve_per_instance_and_check(self, monkeypatch):
         # checks (b) and (d) share one solve; the pipeline (c) makes the other
         calls = []
-        maximize = dual._maximize_dual
+        maximize = dual.maximize_dual
         monkeypatch.setattr(
-            dual, "_maximize_dual", lambda *args: calls.append(1) or maximize(*args)
+            dual, "maximize_dual", lambda *args: calls.append(1) or maximize(*args)
         )
         report = run_oracle_suite(108, (4, 5, 6), 601)
         assert len(calls) == 216
         assert report.to_dict() == {
             "instances": 108, "checks": 432, "violations": [], "passed": True
         }
+
+    def test_one_cheapest_cost_pass_per_instance(self, monkeypatch):
+        computed = []
+        find = Instance.cheapest_costs.func
+        counted = functools.cached_property(lambda inst: computed.append(1) or find(inst))
+        counted.__set_name__(Instance, "cheapest_costs")
+        monkeypatch.setattr(Instance, "cheapest_costs", counted)
+        run_oracle_suite(108, (4, 5, 6), 601)
+        assert len(computed) == 108
 
     def test_includes_n2_edge_case(self):
         report = run_oracle_suite(10, [2], seed=9)
@@ -178,3 +194,35 @@ class TestOracleSuite:
     def test_rejects_big_n(self):
         with pytest.raises(ValueError):
             run_oracle_suite(2, [8], seed=0)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestFrozenOutputs:
+    """Reports pinned by SHA-256: a refactor that keeps outputs must keep
+    these bytes. n=600 runs the dual's row sample; block 600 holds the
+    known repair fault."""
+
+    @pytest.mark.parametrize("s,budget,digest", [
+        (1.0, BudgetSpec("power", 0.5),
+         "766ecd83af3bf374c87a03d57e11fc3871647a5653c0a0741586bd6fbd2835d8"),
+        (1.0, BudgetSpec("alpha_n", 0.3),
+         "48194c4b18bf029960ab4558e4f8b849460096cce36fefd92201e3010c46e337"),
+        (1.0, BudgetSpec("absolute", 2.0),
+         "4e24d6ad590358a523f3093a25462e5e0c85b03f25321fad62c0c0a2a5529905"),
+        (0.5, BudgetSpec("power", 0.75),
+         "ef4fdc73dbc3785fdbf6d4297357ffc59dde3569621f770a5d2e96311b2b3437"),
+    ], ids=["CASE1", "CASE2", "CASE3", "THEOREM2"])
+    def test_experiment_report(self, s, budget, digest):
+        config = ExperimentConfig(n=600, s=s, trials=3, base_seed=11, budget=budget)
+        assert _digest(run_experiment(config).to_json()) == digest
+
+    @pytest.mark.parametrize("block,digest", [
+        (600, "c5d6f19e55b55dc845112de1e1d2508818b8ecf2d176f6b86002eb4f16ea046f"),
+        (601, "5cb790b1e74cf21e38fc0e3931b4345c806c05cbfce841a55a85f39e2ea6b90e"),
+    ])
+    def test_oracle_suite_report(self, block, digest):
+        report = run_oracle_suite(108, (4, 5, 6), block)
+        assert _digest(json.dumps(report.to_dict(), sort_keys=True)) == digest

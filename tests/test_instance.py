@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from costarb import (
     InstanceFormatError,
-    coupling_epsilon,
     export_csv,
     from_arrays,
     generate,
-    generate_sandwich,
     load,
     save,
 )
@@ -105,38 +103,32 @@ def test_instances_are_immutable():
         inst.weights[0, 1] = 0.5
 
 
-class TestSandwich:
-    def test_power_law_actual_is_ordered_everywhere(self):
-        pair = generate_sandwich(100, 0.8, lambda u: np.power(u, 0.8), seed=3)
-        off = ~np.eye(100, dtype=bool)
-        assert np.all(pair.lower.weights[off] <= pair.actual.weights[off])
-        assert np.all(pair.actual.weights[off] <= pair.upper.weights[off])
-        assert np.all(pair.lower.costs[off] <= pair.actual.costs[off])
-        assert np.all(pair.actual.costs[off] <= pair.upper.costs[off])
+class TestCheapestCosts:
+    @pytest.mark.parametrize("n,s,seed", [(2, 1.0, 0), (33, 1.0, 1), (100, 0.6, 2), (700, 1.0, 3)])
+    def test_random_instances(self, n, s, seed):
+        self.assert_row_minima(generate(n, s, seed))
 
-    def test_exponential_type_actual_ordered_below_epsilon(self):
-        # F(t) = 1 - exp(-t**(1/s)) has F(t) ~ t**(1/s) near 0
-        s = 0.5
-        pair = generate_sandwich(
-            200, s, lambda u: np.power(-np.log1p(-u), s), seed=9
-        )
-        off = ~np.eye(200, dtype=bool)
-        for lo, ac, hi in (
-            (pair.lower.weights, pair.actual.weights, pair.upper.weights),
-            (pair.lower.costs, pair.actual.costs, pair.upper.costs),
-        ):
-            small = off & (ac <= pair.epsilon_n)
-            assert small.any()
-            violations = np.sum((lo[small] > ac[small]) | (ac[small] > hi[small]))
-            assert violations == 0
+    @pytest.mark.parametrize("n", [3, 6, 40])
+    def test_ties_on_a_grid_of_eighths(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            self.assert_row_minima(
+                from_arrays(rng.integers(0, 9, (n, n)) / 8, rng.integers(0, 9, (n, n)) / 8)
+            )
 
-    def test_epsilon_definition(self):
-        n = round(math.e**10)
-        assert abs(coupling_epsilon(n) - 0.01) < 1e-5
+    @staticmethod
+    def assert_row_minima(inst):
+        cols, costs = inst.cheapest_costs
+        # first occurrence: ties go to the smallest column
+        assert cols.tolist() == np.argmin(inst.costs, axis=1).tolist()
+        assert costs.tobytes() == inst.costs.min(axis=1).tobytes()
 
-    def test_rejects_degenerate_n(self):
-        with pytest.raises(ValueError):
-            generate_sandwich(2, 0.5, lambda u: u, seed=0)
+    def test_computed_once_and_read_only(self):
+        inst = generate(5, 1.0, 0)
+        assert inst.cheapest_costs is inst.cheapest_costs
+        for a in inst.cheapest_costs:
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestSaveLoad:
