@@ -12,6 +12,7 @@ conventional away-from-root one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -119,10 +120,10 @@ def repair(
     set minimising W + lambda*C among edges that keep the running cost within
     c0. If no in-budget reconnection exists the cheapest-cost edge is used
     and RepairBudgetExceededError is raised at the end, carrying the
-    completed structure.
+    completed structure. Raises ValueError unless 0 <= lambda_star < inf.
     """
-    if lambda_star < 0:
-        raise ValueError(f"lambda_star must be nonnegative, got {lambda_star}")
+    if not 0.0 <= lambda_star < math.inf:
+        raise ValueError(f"lambda_star must be nonnegative and finite, got {lambda_star}")
     n = instance.n
     weights, costs = instance.weights, instance.costs
 

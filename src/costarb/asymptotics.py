@@ -178,11 +178,13 @@ def expected_min(n: int, lam: float, s: float = 1.0) -> ExpectedMin:
     higher-numbered regime (the formulas agree to leading order there).
     For s < 1 the single formula C_s * sqrt(lam) / n**(s/2) applies while
     lam stays between (log n / n)**s and (n / log n)**s.
+
+    Raises ValueError unless n >= 2, 0 <= lam < inf and 0 < s <= 1.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")
     log_n = math.log(n)

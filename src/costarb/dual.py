@@ -12,10 +12,12 @@ column tie-break, so its maximiser is the breakpoint where the subgradient
 changes sign. The feasible-side argmin plus a one-row swap closes the
 duality gap to at most one edge weight.
 
-Each row's cheapest-cost edge, which the instance finds once
-(``Instance.cheapest_costs``), serves twice: the costs sum to the cheapest
-any mapping can cost, so a smaller budget is infeasible, and the edges are
-the lam -> inf argmins that the one-row swap moves a row onto.
+Each row's cheapest-cost edge, which the instance holds from the pass
+that made it (``Instance.cheapest_costs``), serves twice: the costs sum to
+the cheapest any mapping can cost, so a smaller budget is infeasible, and
+the edges are the lam -> inf argmins that the one-row swap moves a row
+onto. Each row's lightest edge (``Instance.cheapest_weights``) is the
+lam = 0 argmin, so whether the budget binds at all costs no pass.
 
 The maximiser is found exactly, in three stages, of which only the first
 scans the whole n x n matrix:
@@ -211,6 +213,14 @@ class _PhiEvaluator:
     def __call__(self, lam: float) -> DualEvaluation:
         return self.full(lam)[0]
 
+    def at_zero(self) -> DualEvaluation:
+        """The evaluation at lam = 0, read from each scanned row's lightest
+        edge, which the instance holds, with no pass: 0*C adds exactly +0
+        off the diagonal, so it is the full evaluation's bit for bit."""
+        inst, rows = self.instance, self.rows
+        f = inst.cheapest_weights[0][rows]
+        return self._evaluation(0.0, f, inst.cheapest_weights[1][rows], inst.costs[rows, f])
+
     def keep_candidates(self, found: np.ndarray) -> None:
         """Use the candidates ``full`` collected as each row's columns.
 
@@ -318,7 +328,7 @@ def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
 
     instance = evaluate.instance
     n = instance.n
-    e_zero = evaluate(0.0)
+    e_zero = evaluate.at_zero()
     phi_best = e_zero.phi
     e_lo = e_hi = e_zero
     lam = 0.0
@@ -440,7 +450,7 @@ def solve_mapping(
     """
     _check_budget(c0)
     rows = np.arange(instance.n)
-    # Each row's cheapest-cost edge, found here once per instance: the
+    # Each row's cheapest-cost edge, which the instance holds: the
     # tightening headroom, the dual's feasibility check and the one-row swap
     # below all read them.
     cheap_cols, cheap_costs = instance.cheapest_costs

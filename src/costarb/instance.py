@@ -2,11 +2,21 @@
 
 Every directed edge (i, j), i != j, carries an independent weight and an
 independent cost, each drawn as U**s with U uniform on [0, 1) and
-0 < s <= 1. All draws come from a single counter-based Philox stream keyed
-on the seed: edge (i, j)'s weight sits at stream position i*n + j and its
-cost at n*n + i*n + j, so regeneration is bit-for-bit reproducible and does
-not depend on evaluation or thread order. Diagonal entries hold +inf so no
-row scan can ever select a self-loop.
+0 < s <= 1. All draws come from one counter-based Philox stream keyed on
+the seed: edge (i, j)'s weight sits at stream position i*n + j and its cost
+at n*n + i*n + j. A generator placed at any position draws the same bits
+there as the whole stream would, so rows are drawn in independent chunks,
+one per CPU this process may run on, and the result depends on neither
+the chunk count nor thread order (Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC'11). The thread count is not a setting: it is read
+from the CPU affinity, and small instances are drawn on the calling thread.
+Diagonal entries hold +inf so no row scan can ever select a self-loop.
+
+Each chunk draws its rows in blocks of _ROW_BLOCK rows and, while a block
+is still in cache, raises it to the power s, writes its +inf diagonal and
+finds each row's cheapest edge. So every instance carries the cheapest
+weight and cheapest cost edge of each row at no extra pass; ``from_arrays``
+and ``load`` find them with the same block scan.
 
 The on-disk format is a small self-describing binary: magic ``CARB``, a
 version word, the header (n, s, seed), then the raw little-endian weight
@@ -16,9 +26,10 @@ matrix followed by the cost matrix.
 from __future__ import annotations
 
 import csv
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,43 +43,89 @@ _MASK64 = (1 << 64) - 1
 # Rows per block of a row scan: a block stays in cache while it is scanned,
 # and no n x n work array is needed.
 _ROW_BLOCK = 32
+# Below this n, generate draws on the calling thread: starting a pool costs
+# more than a second core saves.
+_THREADED_MIN_N = 512
 
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """Immutable dense instance: n x n weight and cost matrices, diagonal +inf."""
+    """Immutable dense instance: n x n weight and cost matrices, diagonal +inf.
+
+    ``cheapest_weights`` and ``cheapest_costs`` hold each row's lightest and
+    cheapest edge: its column (ties: the smallest) and its value.
+    """
 
     n: int
     s: float
     weights: np.ndarray
     costs: np.ndarray
     seed: int
+    cheapest_weights: tuple[np.ndarray, np.ndarray]
+    cheapest_costs: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        self.weights.flags.writeable = False
-        self.costs.flags.writeable = False
-
-    @cached_property
-    def cheapest_costs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's cheapest-cost edge: its column (ties: the smallest) and
-        its cost. Found once per instance, block by block of rows: numpy
-        copies a read-only matrix whole to take its argmin."""
-        cols = np.concatenate([
-            np.argmin(self.costs[r0 : r0 + _ROW_BLOCK], axis=1)
-            for r0 in range(0, self.n, _ROW_BLOCK)
-        ])
-        costs = self.costs[np.arange(self.n), cols]
-        cols.flags.writeable = False
-        costs.flags.writeable = False
-        return cols, costs
+        for a in (self.weights, self.costs, *self.cheapest_weights, *self.cheapest_costs):
+            a.flags.writeable = False
 
 
-def _uniform_matrices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two n x n uniforms from one Philox stream keyed on the seed."""
-    gen = np.random.Generator(np.random.Philox(key=[seed & _MASK64, 0]))
-    u_weights = gen.random((n, n))
-    u_costs = gen.random((n, n))
-    return u_weights, u_costs
+def _row_minima(block: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
+    """Each row's smallest entry of ``block``: its column (ties: the
+    smallest) into ``cols`` and its value into ``values``."""
+    block.argmin(axis=1, out=cols)
+    values[:] = block[np.arange(len(block)), cols]
+
+
+def _cheapest_edges(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's smallest entry of a whole matrix, by the block scan that
+    generate makes as it draws."""
+    n = len(m)
+    cols, values = np.empty(n, dtype=np.intp), np.empty(n)
+    for r0 in range(0, n, _ROW_BLOCK):
+        rows = slice(r0, r0 + _ROW_BLOCK)
+        _row_minima(m[rows], cols[rows], values[rows])
+    return cols, values
+
+
+def _philox_at(seed: int, position: int) -> np.random.Generator:
+    """A generator whose next draw is the seed's stream at ``position``:
+    each Philox counter step yields four draws."""
+    bitgen = np.random.Philox(key=[seed & _MASK64, 0])
+    if position:  # placing costs more than drawing a small instance
+        bitgen.advance(position // 4)
+        bitgen.random_raw(position % 4)
+    return np.random.Generator(bitgen)
+
+
+def _draw_rows(seed: int, s: float, r0: int, r1: int, parts) -> None:
+    """Draw rows [r0, r1) of each (stream offset, matrix, cheapest columns,
+    cheapest values) in ``parts``, block by block: while a block is in
+    cache, raise it to the power s, write its +inf diagonal and find each
+    row's cheapest edge."""
+    gen, position = None, None
+    for offset, m, cols, values in parts:
+        n = m.shape[1]
+        # a chunk of all rows runs on from one matrix into the next
+        if position != offset + r0 * n:
+            gen = _philox_at(seed, offset + r0 * n)
+        position = offset + r1 * n
+        for b0 in range(r0, r1, _ROW_BLOCK):
+            b1 = min(b0 + _ROW_BLOCK, r1)
+            block = m[b0:b1]
+            gen.random(out=block)
+            if s != 1.0:
+                np.power(block, s, out=block)
+            # entries (t, b0 + t): row t's own column
+            block.reshape(-1)[b0 :: n + 1] = np.inf
+            _row_minima(block, cols[b0:b1], values[b0:b1])
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
 
 
 def generate(n: int, s: float, seed: int) -> Instance:
@@ -77,12 +134,27 @@ def generate(n: int, s: float, seed: int) -> Instance:
         raise ValueError(f"n must be at least 2, got {n}")
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")
-    weights, costs = _uniform_matrices(n, seed)
-    for u in (weights, costs):  # in place: the instance holds only these two
-        if s != 1.0:
-            np.power(u, s, out=u)
-        np.fill_diagonal(u, np.inf)
-    return Instance(n=n, s=s, weights=weights, costs=costs, seed=seed)
+    weights, costs = np.empty((n, n)), np.empty((n, n))
+    cheapest_weights = np.empty(n, dtype=np.intp), np.empty(n)
+    cheapest_costs = np.empty(n, dtype=np.intp), np.empty(n)
+    parts = ((0, weights, *cheapest_weights), (n * n, costs, *cheapest_costs))
+    # at least one block of rows per chunk
+    chunks = 1 if n < _THREADED_MIN_N else min(_cpu_count(), n // _ROW_BLOCK)
+    if chunks == 1:
+        _draw_rows(seed, s, 0, n, parts)
+    else:
+        bounds = [n * k // chunks for k in range(chunks + 1)]
+        # A pool per call: a forked worker inherits no threads.
+        with ThreadPoolExecutor(max_workers=chunks) as pool:
+            for done in [
+                pool.submit(_draw_rows, seed, s, r0, r1, parts)
+                for r0, r1 in zip(bounds, bounds[1:])
+            ]:
+                done.result()
+    return Instance(
+        n=n, s=s, weights=weights, costs=costs, seed=seed,
+        cheapest_weights=cheapest_weights, cheapest_costs=cheapest_costs,
+    )
 
 
 def _model_violation(n: int, s: float, weights: np.ndarray, costs: np.ndarray) -> str | None:
@@ -104,6 +176,14 @@ def _model_violation(n: int, s: float, weights: np.ndarray, costs: np.ndarray) -
     return None
 
 
+def _dense_instance(n: int, s: float, weights, costs, seed: int) -> Instance:
+    """An instance of matrices already inside the model."""
+    return Instance(
+        n=n, s=s, weights=weights, costs=costs, seed=seed,
+        cheapest_weights=_cheapest_edges(weights), cheapest_costs=_cheapest_edges(costs),
+    )
+
+
 def from_arrays(weights, costs, s: float = 1.0, seed: int = 0) -> Instance:
     """Build an instance from explicit matrices (diagonal is overwritten).
 
@@ -120,7 +200,7 @@ def from_arrays(weights, costs, s: float = 1.0, seed: int = 0) -> Instance:
     problem = _model_violation(n, s, w, c)
     if problem:
         raise ValueError(problem)
-    return Instance(n=n, s=s, weights=w, costs=c, seed=seed)
+    return _dense_instance(n, s, w, c, seed)
 
 
 def save(instance: Instance, path) -> None:
@@ -164,7 +244,7 @@ def load(path) -> Instance:
     problem = _model_violation(n, s, weights, costs)
     if problem:
         raise InstanceFormatError(f"{path}: {problem}")
-    return Instance(n=n, s=s, weights=weights, costs=costs, seed=seed)
+    return _dense_instance(n, s, weights, costs, seed)
 
 
 def export_csv(instance: Instance, path) -> None:

@@ -105,6 +105,15 @@ class TestRepair:
         )
         assert changed == 1  # exactly one replacement edge
 
+    @pytest.mark.parametrize("lambda_star", [math.nan, math.inf, -0.5])
+    def test_rejects_a_multiplier_outside_the_model(self, lambda_star):
+        # a NaN score never equals the maximum, which once failed deep in
+        # break_vertex with "min() arg is an empty sequence"
+        inst = generate(6, 1.0, 4)
+        m = make_mapping(inst, [1, 0, 3, 2, 0, 2])
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            repair(m, inst, m.cost + 1.0, lambda_star, decompose(m))
+
     def test_budget_breach_signalled_with_best_effort(self):
         # two 2-cycles; every cross-component edge costs far more than any
         # budget headroom, so reconnection must breach

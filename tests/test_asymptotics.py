@@ -228,6 +228,13 @@ class TestExpectedMin:
         with pytest.raises(LambdaRangeError):
             expected_min(10_000, 1e4, 0.5)
 
+    @pytest.mark.parametrize("s", [1.0, 0.5])
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    def test_rejects_a_multiplier_outside_the_model(self, lam, s):
+        # NaN once fell through every regime comparison to E1
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            expected_min(100, lam, s)
+
 
 class TestPredict:
     def test_case1_worked_example(self):

@@ -57,6 +57,13 @@ class TestUsageErrors:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_multiplier(self, capsys, lam):
+        code, out, err = run_cli(capsys, "expect", "--n", "100", "--lam", lam, "--reps", "100")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
 
 class TestSolve:
     def test_slack_budget_solves(self, capsys):

@@ -662,10 +662,11 @@ class TestDualCounters:
     def test_full_evaluations_pinned(self):
         # At c0=sqrt(n) the plain bisection makes about fifty full
         # evaluations. The row sample's own search makes `sample` evaluations
-        # on every eighth row; the full bracket search then needs lambda=0,
-        # b and a, whose pass also collects the candidates; the line meeting
-        # makes `candidate` evaluations on them.
-        for n, full, candidate, sample in ((1000, 3, 9, 15), (3000, 3, 11, 17)):
+        # on every eighth row; the full bracket search then needs b and a,
+        # whose pass also collects the candidates; the line meeting makes
+        # `candidate` evaluations on them. Neither search makes a pass at
+        # lambda=0: the instance holds each row's lightest edge.
+        for n, full, candidate, sample in ((1000, 2, 9, 14), (3000, 2, 11, 16)):
             inst = generate(n, 1.0, 1)
             opt = maximize_dual(inst, math.sqrt(n))
             assert opt.full_evaluations == full, n
@@ -673,12 +674,12 @@ class TestDualCounters:
             assert opt.sample_evaluations == sample, n
             assert 0 < opt.candidate_width < inst.n
 
-    def test_slack_budget_makes_one_evaluation(self, worked):
+    def test_slack_budget_makes_no_full_evaluation(self, worked):
         opt = maximize_dual(worked, 2.0)
         assert (
             opt.full_evaluations, opt.candidate_evaluations,
             opt.candidate_width, opt.sample_evaluations,
-        ) == (1, 0, 0, 0)
+        ) == (0, 0, 0, 0)
 
     def test_pipeline_trace_carries_counters(self):
         inst = generate(600, 1.0, 3)

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import math
@@ -15,7 +14,8 @@ from costarb import (
     run_expectation_check,
     run_oracle_suite,
 )
-from costarb import Instance, dual
+from costarb import dual
+from costarb import instance as instance_module
 from costarb.harness import derive_trial_seed, write_report
 
 
@@ -169,13 +169,15 @@ class TestOracleSuite:
         }
 
     def test_one_cheapest_cost_pass_per_instance(self, monkeypatch):
-        computed = []
-        find = Instance.cheapest_costs.func
-        counted = functools.cached_property(lambda inst: computed.append(1) or find(inst))
-        counted.__set_name__(Instance, "cheapest_costs")
-        monkeypatch.setattr(Instance, "cheapest_costs", counted)
+        # generate finds each row's cheapest weight and cost edge while it
+        # draws the instance: one block scan of each small matrix, no later one
+        scans = []
+        scan = instance_module._row_minima
+        monkeypatch.setattr(
+            instance_module, "_row_minima", lambda *args: scans.append(1) or scan(*args)
+        )
         run_oracle_suite(108, (4, 5, 6), 601)
-        assert len(computed) == 108
+        assert len(scans) == 2 * 108
 
     def test_includes_n2_edge_case(self):
         report = run_oracle_suite(10, [2], seed=9)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,18 +8,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from costarb import (
+    BudgetSpec,
+    ExperimentConfig,
     InstanceFormatError,
     export_csv,
     from_arrays,
     generate,
     load,
+    run_experiment,
     save,
 )
-from costarb.instance import _HEADER, _MAGIC, _VERSION, _uniform_matrices
+from costarb import instance as instance_module
+from costarb.instance import _HEADER, _MAGIC, _THREADED_MIN_N, _VERSION
 
 # Philox output is algorithmically pinned, so the exact bytes are stable
 # across platforms and numpy versions.
 _FROZEN_DIGEST = "d43a361a0bd11668ee60e83a55119cfb4de749e264f6c7aa25f11f272c61991c"
+
+
+def _single_stream(n, seed):
+    """Reference: both n x n uniforms drawn in one pass over the seed's
+    Philox stream, as generate did before it drew rows in chunks."""
+    gen = np.random.Generator(np.random.Philox(key=[seed & ((1 << 64) - 1), 0]))
+    u_weights = gen.random((n, n))
+    u_costs = gen.random((n, n))
+    return u_weights, u_costs
+
+
+def _reference_matrices(n, s, seed):
+    matrices = _single_stream(n, seed)
+    for u in matrices:
+        if s != 1.0:
+            np.power(u, s, out=u)
+        np.fill_diagonal(u, np.inf)
+    return matrices
+
+
+def _force_cpus(monkeypatch, count):
+    """Make generate see ``count`` CPUs, and so draw that many chunks."""
+    monkeypatch.setattr(
+        instance_module.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
 
 
 def test_small_instance_entries_in_open_unit_interval():
@@ -55,7 +85,7 @@ def test_generation_is_bit_reproducible():
 
 @pytest.mark.parametrize("s", [1.0, 0.6])
 def test_generation_is_the_power_of_the_uniforms(s):
-    u_weights, u_costs = _uniform_matrices(50, 3)
+    u_weights, u_costs = _single_stream(50, 3)
     inst = generate(50, s, 3)
     for u, mat in ((u_weights, inst.weights), (u_costs, inst.costs)):
         expected = np.power(u, s)
@@ -103,6 +133,43 @@ def test_instances_are_immutable():
         inst.weights[0, 1] = 0.5
 
 
+class TestGenerationGate:
+    """generate equals one pass over the stream bit for bit, whatever the
+    number of row chunks it draws in parallel."""
+
+    @pytest.mark.parametrize("s", [1.0, 0.6, 0.3])
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 33, 511, 512, 513, 1001, 2999])
+    def test_equals_the_single_stream(self, n, s, monkeypatch):
+        weights, costs = _reference_matrices(n, s, 2024)
+        # more chunks than cores, switching threads as often as it can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3, 7):
+                _force_cpus(monkeypatch, cpus)
+                inst = generate(n, s, 2024)
+                assert inst.weights.tobytes() == weights.tobytes(), (n, s, cpus)
+                assert inst.costs.tobytes() == costs.tobytes(), (n, s, cpus)
+                TestCheapestCosts.assert_row_minima(inst)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_threshold_lies_inside_the_sizes_checked(self):
+        assert 7 < _THREADED_MIN_N <= 2999
+
+    def test_forked_workers_after_a_threaded_draw(self, monkeypatch):
+        # generate's pool is gone when it returns, so a worker forked after
+        # a threaded draw still draws; the report is the serial one
+        _force_cpus(monkeypatch, 2)
+        generate(_THREADED_MIN_N, 1.0, 0)
+        config = dict(
+            n=_THREADED_MIN_N + 88, s=1.0, trials=3, base_seed=5, budget=BudgetSpec("power", 0.5)
+        )
+        serial = run_experiment(ExperimentConfig(**config, parallelism=1))
+        forked = run_experiment(ExperimentConfig(**config, parallelism=2))
+        assert forked.to_json() == serial.to_json()
+
+
 class TestCheapestCosts:
     @pytest.mark.parametrize("n,s,seed", [(2, 1.0, 0), (33, 1.0, 1), (100, 0.6, 2), (700, 1.0, 3)])
     def test_random_instances(self, n, s, seed):
@@ -116,17 +183,26 @@ class TestCheapestCosts:
                 from_arrays(rng.integers(0, 9, (n, n)) / 8, rng.integers(0, 9, (n, n)) / 8)
             )
 
+    @pytest.mark.parametrize("n", [2, 40, 700])
+    def test_loaded_instances(self, n, tmp_path):
+        rng = np.random.default_rng(n)
+        inst = from_arrays(rng.integers(0, 9, (n, n)) / 8, rng.random((n, n)), s=0.5, seed=n)
+        save(inst, tmp_path / "inst.carb")
+        self.assert_row_minima(load(tmp_path / "inst.carb"))
+
     @staticmethod
     def assert_row_minima(inst):
-        cols, costs = inst.cheapest_costs
-        # first occurrence: ties go to the smallest column
-        assert cols.tolist() == np.argmin(inst.costs, axis=1).tolist()
-        assert costs.tobytes() == inst.costs.min(axis=1).tobytes()
+        for matrix, (cols, values) in (
+            (inst.weights, inst.cheapest_weights), (inst.costs, inst.cheapest_costs)
+        ):
+            # first occurrence: ties go to the smallest column
+            assert cols.tolist() == np.argmin(matrix, axis=1).tolist()
+            assert values.tobytes() == matrix.min(axis=1).tobytes()
 
     def test_computed_once_and_read_only(self):
         inst = generate(5, 1.0, 0)
         assert inst.cheapest_costs is inst.cheapest_costs
-        for a in inst.cheapest_costs:
+        for a in (*inst.cheapest_weights, *inst.cheapest_costs):
             with pytest.raises(ValueError):
                 a[0] = 0
 
