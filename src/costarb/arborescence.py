@@ -245,27 +245,10 @@ def _min_out_tree(score: np.ndarray, root: int) -> np.ndarray:
     np.fill_diagonal(masked, np.inf)
     masked[root, :] = np.inf
     parent = np.argmin(masked, axis=1)
+    # a cycle among the chosen out-edges, if any, besides the root made a loop
+    parent[root] = root
+    cycle = next((c for c in decompose(parent).cycles if c != [root]), None)
     parent[root] = -1
-
-    # locate a cycle among the chosen out-edges, if any
-    color = np.zeros(n, dtype=np.int8)  # 0 new, 1 active, 2 done
-    color[root] = 2
-    cycle = None
-    for start in range(n):
-        if color[start]:
-            continue
-        path = []
-        v = start
-        while color[v] == 0:
-            color[v] = 1
-            path.append(v)
-            v = parent[v]
-        if color[v] == 1:
-            cycle = path[path.index(v):]
-        for u in path:
-            color[u] = 2
-        if cycle:
-            break
     if cycle is None:
         return parent
 
@@ -366,11 +349,9 @@ def exact_mapping_oracle(instance: Instance, c0: float) -> Mapping:
     if not feasible.any():
         raise InfeasibleBudgetError(f"no mapping fits budget {c0:.6g}")
     best = int(np.argmin(np.where(feasible, weights, np.inf)))
-    f = np.empty(n, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        best, r = divmod(best, n - 1)
-        f[i] = choices[i][r]
-    return make_mapping(instance, f)
+    # digit r of row i is its r-th out-neighbour: r, or r + 1 from r = i on
+    r = np.array(np.unravel_index(best, (n - 1,) * n))
+    return make_mapping(instance, r + (r >= np.arange(n)))
 
 
 def exact_arborescence_oracle(instance: Instance, c0: float) -> Arborescence:
@@ -378,44 +359,34 @@ def exact_arborescence_oracle(instance: Instance, c0: float) -> Arborescence:
     n = instance.n
     if n > _ORACLE_MAX_N:
         raise SizeLimitError(f"arborescence oracle capped at n={_ORACLE_MAX_N}, got {n}")
-    best: Optional[tuple[float, int, np.ndarray]] = None
+    # each non-root vertex's choice digit, in the lex order of the sums
+    digits = np.indices((n - 1,) * (n - 1)).reshape(n - 1, -1).T
+    best: Optional[tuple[float, float, int, np.ndarray]] = None
     for root in range(n):
         non_root = [v for v in range(n) if v != root]
-        m = (n - 1) ** (n - 1)
-        parents = np.empty((m, n), dtype=np.int64)
-        parents[:, root] = root  # self-loop: the chase below parks at the root
-        stride = m
-        for v in non_root:
-            cols = np.asarray([u for u in range(n) if u != v])
-            stride //= n - 1
-            idx = (np.arange(m) // stride) % (n - 1)
-            parents[:, v] = cols[idx]
-
-        reach = parents.copy()
-        rows = np.arange(m)[:, None]
-        for _ in range(n - 1):
-            reach = parents[rows, reach]
+        # a self-loop at the root: the chase below parks there
+        parents = np.insert(digits + (digits >= non_root), root, root, axis=1)
+        # 2^k >= n - 1 steps of the chase reach the root from all that can
+        reach = parents
+        for _ in range((n - 2).bit_length()):
+            reach = np.take_along_axis(reach, reach, axis=1)
         valid = (reach == root).all(axis=1)
         if not valid.any():
             continue
-        w = np.zeros(m)
-        c = np.zeros(m)
-        for v in non_root:
-            w += instance.weights[v, parents[:, v]]
-            c += instance.costs[v, parents[:, v]]
+        sub = [[u for u in range(n) if u != v] for v in non_root]
+        w = _enumerate_choice_sums(instance.weights[non_root], sub)
+        c = _enumerate_choice_sums(instance.costs[non_root], sub)
         feasible = valid & (c <= c0)
         if not feasible.any():
             continue
         i = int(np.argmin(np.where(feasible, w, np.inf)))
         if best is None or w[i] < best[0]:
-            best = (float(w[i]), root, parents[i].copy())
+            best = (float(w[i]), float(c[i]), root, parents[i].copy())
 
     if best is None:
         raise InfeasibleBudgetError(f"no arborescence fits budget {c0:.6g}")
-    weight, root, parent = best
+    weight, cost, root, parent = best
     parent[root] = -1
-    rows = np.asarray([v for v in range(n) if v != root])
-    cost = float(instance.costs[rows, parent[rows]].sum())
     return Arborescence(root=root, parent=parent, weight=weight, cost=cost)
 
 

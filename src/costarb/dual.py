@@ -38,6 +38,7 @@ scans the whole n x n matrix:
    evaluated on the candidates. If it is one of the two, lam is the
    maximiser; otherwise it replaces the end on the side of its subgradient
    sign. phi has finitely many pieces, so this ends after a few steps.
+   The dual's maximum is then the feasible-side argmin's line at lam.
 
 Each stage-3 step costs O(n*k) for k candidates per row. Full scans run
 block by block of rows, so no n x n work array is allocated.
@@ -52,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfeasibleBudgetError, TightenTooLargeError
-from .instance import _ROW_BLOCK, Instance
+from .instance import _ROW_BLOCK, Instance, _row_minima
 
 _LAMBDA_OVERFLOW_GUARD = 1e30
 # Step of the bracket search: a larger step saves full evaluations but widens
@@ -89,7 +90,8 @@ class DualEvaluation:
 class DualOptimum:
     """The maximiser lambda_star with the argmins on either side of it:
     mapping_low costs more than c0 and mapping_high at most c0 (both are
-    the lambda=0 argmin when that fits the budget).
+    the lambda=0 argmin when that fits the budget). phi_star is phi at
+    lambda_star, read off mapping_high's line.
 
     The counters are deterministic: n x n evaluations, evaluations on the
     per-row candidate columns, the padded number of candidates per row
@@ -117,6 +119,11 @@ class MappingSolution:
     w_max_used: float
     c_max_used: float
     dual: DualOptimum
+
+
+def _line(m: Mapping, lam: float, c0: float) -> float:
+    """m's phi-line W + lam*C - lam*c0: phi(lam) if m is the argmin at lam."""
+    return m.weight + lam * m.cost - lam * c0
 
 
 def make_mapping(instance: Instance, f: np.ndarray) -> Mapping:
@@ -168,14 +175,9 @@ class _PhiEvaluator:
         return scores
 
     def _evaluation(self, lam: float, f, w_chosen, c_chosen) -> DualEvaluation:
-        weight = float(w_chosen.sum())
-        cost = float(c_chosen.sum())
-        phi_val = weight + lam * cost - lam * self.c0
+        m = Mapping(f=f, weight=float(w_chosen.sum()), cost=float(c_chosen.sum()))
         return DualEvaluation(
-            lam=lam,
-            phi=phi_val,
-            argmin=Mapping(f=f, weight=weight, cost=cost),
-            subgradient=cost - self.c0,
+            lam=lam, phi=_line(m, lam, self.c0), argmin=m, subgradient=m.cost - self.c0
         )
 
     def full(
@@ -199,9 +201,7 @@ class _PhiEvaluator:
             scores = self._scores(r0, lam)
             t0 = r0 // self.stride
             t1 = t0 + len(scores)
-            block_f = scores.argmin(axis=1)  # first occurrence = smallest column
-            f[t0:t1] = block_f
-            minima[t0:t1] = scores[np.arange(len(scores)), block_f]
+            _row_minima(scores, f[t0:t1], minima[t0:t1])
             if minima_above is not None:
                 mask = scores <= minima_above[t0:t1, None]
                 found.append(mask.reshape(-1).nonzero()[0] + t0 * n)
@@ -209,9 +209,6 @@ class _PhiEvaluator:
         rows = self.rows
         e = self._evaluation(lam, f, inst.weights[rows, f], inst.costs[rows, f])
         return e, minima, (np.concatenate(found) if found else None)
-
-    def __call__(self, lam: float) -> DualEvaluation:
-        return self.full(lam)[0]
 
     def at_zero(self) -> DualEvaluation:
         """The evaluation at lam = 0, read from each scanned row's lightest
@@ -265,7 +262,7 @@ def phi(instance: Instance, lam: float, c0: float) -> DualEvaluation:
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
     _check_budget(c0)
-    return _PhiEvaluator(instance, c0)(lam)
+    return _PhiEvaluator(instance, c0).full(lam)[0]
 
 
 def min_cost_sum(instance: Instance) -> float:
@@ -285,8 +282,9 @@ def maximize_dual(instance: Instance, c0: float) -> DualOptimum:
     when even the per-row cost-minimal mapping exceeds c0, and ValueError
     unless 0 < c0 < inf.
 
-    phi_star is the largest phi evaluated, a weak-duality certificate. The
-    counters on the result say how many evaluations of each kind were made.
+    phi_star is phi at the maximiser, mapping_high's line there: a
+    weak-duality certificate. The counters on the result say how many
+    evaluations of each kind were made.
     """
     _check_budget(c0)
     return _solve_dual(_PhiEvaluator(instance, c0))
@@ -329,7 +327,6 @@ def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
     instance = evaluate.instance
     n = instance.n
     e_zero = evaluate.at_zero()
-    phi_best = e_zero.phi
     e_lo = e_hi = e_zero
     lam = 0.0
     sample_evaluations = 0
@@ -348,7 +345,6 @@ def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
             b = n * math.log(n)
             below = b / _BRACKET_FACTOR
         e_hi, minima_b, _ = evaluate.full(b)
-        phi_best = max(phi_best, e_hi.phi)
         found = None
         if e_hi.subgradient > 0:
             ceiling = _lambda_ceiling(n)
@@ -357,14 +353,12 @@ def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
                     raise ArithmeticError("subgradient never changed sign; lambda overflow")
                 e_lo, b = e_hi, min(b * _BRACKET_FACTOR, ceiling)
                 e_hi, minima_b, _ = evaluate.full(b)
-                phi_best = max(phi_best, e_hi.phi)
         else:
             # a = 0 is on the positive side; the floor only bounds the
             # number of full passes. Each pass below b also collects the
             # candidates for [its lam, b], kept if it turns out to be a.
             while below > _BRACKET_FLOOR * (1.0 + b):
                 e_mid, minima_mid, found = evaluate.full(below, minima_b)
-                phi_best = max(phi_best, e_mid.phi)
                 if e_mid.subgradient > 0:
                     e_lo = e_mid
                     break
@@ -398,7 +392,6 @@ def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
                 lam = max(e_lo.lam, min(e_hi.lam, lam))
                 break
             e = evaluate.on_candidates(lam)
-            phi_best = max(phi_best, e.phi)
             if (e.argmin.weight, e.argmin.cost) in (
                 (low.weight, low.cost), (high.weight, high.cost)
             ):
@@ -409,7 +402,7 @@ def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
                 e_hi = e
 
     return DualOptimum(
-        lambda_star=lam, phi_star=phi_best,
+        lambda_star=lam, phi_star=_line(e_hi.argmin, lam, c0),
         mapping_low=e_lo.argmin, mapping_high=e_hi.argmin,
         full_evaluations=evaluate.full_evaluations,
         candidate_evaluations=evaluate.candidate_evaluations,
@@ -465,7 +458,6 @@ def solve_mapping(
         )
 
     opt = maximize_dual(instance, c0_tight)
-    lam = opt.lambda_star
 
     candidates = [opt.mapping_high]
     if opt.mapping_low.cost <= c0:
@@ -488,9 +480,7 @@ def solve_mapping(
     best = min(candidates, key=lambda m: m.weight)
     # Dual value against the ORIGINAL budget: any multiplier certifies a
     # lower bound, and the inner minimum at lambda* is already known.
-    lower_bound = (
-        opt.mapping_high.weight + lam * opt.mapping_high.cost - lam * c0
-    )
+    lower_bound = _line(opt.mapping_high, opt.lambda_star, c0)
     w_max = float(instance.weights[rows, best.f].max())
     c_max = float(instance.costs[rows, best.f].max())
     return MappingSolution(

@@ -311,3 +311,127 @@ def test_arborescence_json_dict(worked):
     assert d["root"] == 2
     assert d["parent"] == [1, 2, None]
     assert d["trace"]["lambda_star"] == 0.5
+
+
+# Reference: the cycle search that _min_out_tree made with a colour walk of
+# its own before it called decompose. Kept verbatim apart from the name and
+# the return.
+def _reference_colour_walk_cycle(parent: np.ndarray, root: int):
+    n = len(parent)
+    # locate a cycle among the chosen out-edges, if any
+    color = np.zeros(n, dtype=np.int8)  # 0 new, 1 active, 2 done
+    color[root] = 2
+    cycle = None
+    for start in range(n):
+        if color[start]:
+            continue
+        path = []
+        v = start
+        while color[v] == 0:
+            color[v] = 1
+            path.append(v)
+            v = parent[v]
+        if color[v] == 1:
+            cycle = path[path.index(v):]
+        for u in path:
+            color[u] = 2
+        if cycle:
+            break
+    return cycle
+
+
+# Reference: exact_arborescence_oracle as it was before it summed with
+# _enumerate_choice_sums. Kept verbatim apart from the name and the size
+# limit, which is the shipped one.
+def _reference_arborescence_oracle(instance, c0: float) -> Arborescence:
+    n = instance.n
+    if n > 7:
+        raise SizeLimitError(f"arborescence oracle capped at n=7, got {n}")
+    best = None
+    for root in range(n):
+        non_root = [v for v in range(n) if v != root]
+        m = (n - 1) ** (n - 1)
+        parents = np.empty((m, n), dtype=np.int64)
+        parents[:, root] = root  # self-loop: the chase below parks at the root
+        stride = m
+        for v in non_root:
+            cols = np.asarray([u for u in range(n) if u != v])
+            stride //= n - 1
+            idx = (np.arange(m) // stride) % (n - 1)
+            parents[:, v] = cols[idx]
+
+        reach = parents.copy()
+        rows = np.arange(m)[:, None]
+        for _ in range(n - 1):
+            reach = parents[rows, reach]
+        valid = (reach == root).all(axis=1)
+        if not valid.any():
+            continue
+        w = np.zeros(m)
+        c = np.zeros(m)
+        for v in non_root:
+            w += instance.weights[v, parents[:, v]]
+            c += instance.costs[v, parents[:, v]]
+        feasible = valid & (c <= c0)
+        if not feasible.any():
+            continue
+        i = int(np.argmin(np.where(feasible, w, np.inf)))
+        if best is None or w[i] < best[0]:
+            best = (float(w[i]), root, parents[i].copy())
+
+    if best is None:
+        raise InfeasibleBudgetError(f"no arborescence fits budget {c0:.6g}")
+    weight, root, parent = best
+    parent[root] = -1
+    rows = np.asarray([v for v in range(n) if v != root])
+    cost = float(instance.costs[rows, parent[rows]].sum())
+    return Arborescence(root=root, parent=parent, weight=weight, cost=cost)
+
+
+def _arborescence_or_error(oracle, inst, c0):
+    try:
+        a = oracle(inst, c0)
+    except InfeasibleBudgetError as exc:
+        return type(exc)
+    return a.root, a.parent.dtype, a.parent.tolist(), a.weight.hex(), a.cost.hex()
+
+
+class TestEqualsTheOldCode:
+    """The cycle search and the arborescence oracle give what the code they
+    replaced gave, bit for bit."""
+
+    def test_cycle_search_is_the_colour_walk(self):
+        rng = np.random.default_rng(8)
+        found = 0
+        for _ in range(3000):
+            n = int(rng.integers(2, 13))
+            root = int(rng.integers(n))
+            # out-edges of an argmin over a masked diagonal: no self-loops
+            # except at the root, which _min_out_tree makes a fixed point
+            parent = uniform_mapping(n, rng)
+            parent[root] = root
+            cycle = next((c for c in decompose(parent).cycles if c != [root]), None)
+            assert cycle == _reference_colour_walk_cycle(parent, root), (parent, root)
+            found += cycle is not None
+        assert 0 < found < 3000
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_arborescence_oracle_on_random_instances(self, n):
+        for seed in range(12 if n < 7 else 3):
+            inst = generate(n, 1.0, seed)
+            for c0 in (math.inf, 0.5 * n, 0.3 * n, 0.1):
+                assert _arborescence_or_error(exact_arborescence_oracle, inst, c0) == (
+                    _arborescence_or_error(_reference_arborescence_oracle, inst, c0)
+                ), (n, seed, c0)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_arborescence_oracle_on_a_grid_of_eighths(self, n):
+        from costarb import from_arrays
+
+        rng = np.random.default_rng(200 + n)
+        for _ in range(12):
+            inst = from_arrays(rng.integers(0, 9, (n, n)) / 8, rng.integers(0, 9, (n, n)) / 8)
+            for c0 in (math.inf, 0.5 * n, 0.3 * n, 0.1):
+                assert _arborescence_or_error(exact_arborescence_oracle, inst, c0) == (
+                    _arborescence_or_error(_reference_arborescence_oracle, inst, c0)
+                ), (n, c0)

@@ -57,6 +57,14 @@ class TestUsageErrors:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("command", ["solve", "dual", "predict", "experiment"])
+    def test_overflowing_power_budget(self, capsys, command):
+        # 30 ** 1000 overflows a float; refused as --alpha 1e308 is
+        code, out, err = run_cli(capsys, command, "--n", "30", "--gamma", "1000")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_multiplier(self, capsys, lam):
         code, out, err = run_cli(capsys, "expect", "--n", "100", "--lam", lam, "--reps", "100")

@@ -38,6 +38,15 @@ class TestBudgetSpec:
             with pytest.raises(ValueError):
                 BudgetSpec(kind, 1.0).resolve(10)
 
+    def test_power_overflow_is_an_infinite_budget(self):
+        # 3000 ** 1000 overflows a float: the budget is refused as not
+        # finite, as alpha_n's 1e308 * n is, not raised as OverflowError
+        assert BudgetSpec("power", 1000.0).resolve(3000) == math.inf
+        assert BudgetSpec("power", -1000.0).resolve(3000) == 0.0
+        for value in (1000.0, -1000.0):
+            with pytest.raises(ValueError, match="finite"):
+                small_config(budget=BudgetSpec("power", value)).validate()
+
 
 class TestTrialSeeds:
     def test_distinct_and_replayable(self):
@@ -167,6 +176,15 @@ class TestOracleSuite:
         assert report.to_dict() == {
             "instances": 108, "checks": 432, "violations": [], "passed": True
         }
+
+    def test_no_dual_evaluation_for_the_budget_range(self, monkeypatch):
+        # the top of each instance's budget range is the cost of its rows'
+        # lightest edges, which the instance holds: no lambda=0 pass
+        calls = []
+        evaluate = dual.phi
+        monkeypatch.setattr(dual, "phi", lambda *args: calls.append(1) or evaluate(*args))
+        run_oracle_suite(108, (4, 5, 6), 601)
+        assert calls == []
 
     def test_one_cheapest_cost_pass_per_instance(self, monkeypatch):
         # generate finds each row's cheapest weight and cost edge while it
