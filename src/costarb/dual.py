@@ -23,15 +23,20 @@ The maximiser is found exactly, in three stages, of which only the first
 scans the whole n x n matrix:
 
 1. Full evaluations find a bracket [a, b] with subgradient > 0 at a and
-   <= 0 at b. The per-row terms of phi concentrate, so from n = 512 on the
-   same three stages first run on every eighth row at the budget scaled to
-   those rows; their maximiser lam^ puts b at 1.5*lam^ and a at lam^/1.5.
-   Without such an estimate b starts at n log n and a at b/8. An end with
-   the wrong sign steps outward by a factor of 8. The estimate only picks
-   where the full passes look: every bracket is confirmed by them.
+   <= 0 at b. The per-row terms of phi concentrate, so a set of at least
+   256 rows first runs the same three stages on every eighth of its rows,
+   at their own cheapest cost plus the budget's headroom scaled to their
+   number; that sample takes its start from every eighth of its rows in
+   turn while it has 256 of them. The sample's maximiser lam^ puts b at
+   1.5*lam^ and a at lam^/1.5. Without such an estimate b starts at
+   n log n and a at b/8. One pass evaluates both ends: each block of rows
+   is scanned at b and then, still in cache, at a. An end with the wrong
+   sign steps outward by a factor of 8, one end per pass. The estimate
+   only picks where the full passes look: every bracket is confirmed by
+   them.
 2. Each row keeps as candidates the columns j with fl(W + a*C) <= its
-   minimum at b, collected during the pass at a when b's minima are
-   already known. Rounding is monotone, so every argmin at any lam in
+   minimum at b, collected in the pass at a once the block's minima at b
+   are known. Rounding is monotone, so every argmin at any lam in
    [a, b], ties included, is a candidate.
 3. Each mapping's phi-line is W + lam*(C - c0). The lines of the argmins
    at the two bracket ends meet at some lam in between, where the argmin is
@@ -41,7 +46,11 @@ scans the whole n x n matrix:
    The dual's maximum is then the feasible-side argmin's line at lam.
 
 Each stage-3 step costs O(n*k) for k candidates per row. Full scans run
-block by block of rows, so no n x n work array is allocated.
+block by block of rows, so no n x n work array is allocated. A scan of at
+least 2**22 entries runs in row chunks, one per CPU this process may run
+on, on threads that end with the scan. Every value is the same bits for
+any number of chunks: the rows are independent and the candidates are
+joined in row order.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfeasibleBudgetError, TightenTooLargeError
-from .instance import _ROW_BLOCK, Instance, _row_minima
+from .instance import _ROW_BLOCK, Instance, _in_row_chunks, _row_minima
 
 _LAMBDA_OVERFLOW_GUARD = 1e30
 # Step of the bracket search: a larger step saves full evaluations but widens
@@ -61,12 +70,16 @@ _LAMBDA_OVERFLOW_GUARD = 1e30
 _BRACKET_FACTOR = 8.0
 # Relative lower end of the downward bracket search.
 _BRACKET_FLOOR = 1e-10
-# The row sample: every _SAMPLE_STRIDE-th row, used from the size at which
-# it holds 64 rows. Its maximiser, widened by _SAMPLE_MARGIN each way, is
+# The row sample: a set of at least _SAMPLE_MIN_N scanned rows takes its
+# start from every _SAMPLE_STRIDE-th of its own rows, which may be sampled
+# in turn. The sample's maximiser, widened by _SAMPLE_MARGIN each way, is
 # the first guess at the bracket.
 _SAMPLE_STRIDE = 8
-_SAMPLE_MIN_N = 512
+_SAMPLE_MIN_N = 256
 _SAMPLE_MARGIN = 1.5
+# A full pass runs in row chunks on threads from this many scanned entries
+# (rows times n) on: below it, starting threads costs more than they save.
+_THREADED_MIN_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,10 +106,12 @@ class DualOptimum:
     the lambda=0 argmin when that fits the budget). phi_star is phi at
     lambda_star, read off mapping_high's line.
 
-    The counters are deterministic: n x n evaluations, evaluations on the
-    per-row candidate columns, the padded number of candidates per row
-    (0 when none were built), and the evaluations, of either kind, on the
-    row sample that gave the bracket search its start (0 when none ran).
+    The counters are deterministic: n x n evaluations (a pass at both
+    bracket ends counts two), evaluations on the per-row candidate
+    columns, the padded number of candidates per row (0 when none were
+    built), and the evaluations, of either kind, on the row sample that
+    gave the bracket search its start and on that sample's own samples
+    (0 when none ran).
     """
 
     lambda_star: float
@@ -143,11 +158,11 @@ class _PhiEvaluator:
     The evaluator scans rows 0, stride, 2*stride, ... only: stride 1 is the
     whole instance, a larger stride a fixed sample of its rows, whose
     mappings and totals cover those rows alone. A full evaluation scans
-    W + lam*C block by block of those rows through a reusable buffer. Once
-    ``keep_candidates`` has run, ``on_candidates`` scans only each row's
-    candidate columns, with the same arithmetic and the same
-    gather-and-sum, so it returns the full evaluation bit for bit at any lam
-    in the bracket the candidates were collected for.
+    W + lam*C block by block of those rows, each chunk of rows through its
+    own buffer. Once ``keep_candidates`` has run, ``on_candidates`` scans
+    only each row's candidate columns, with the same arithmetic and the
+    same gather-and-sum, so it returns the full evaluation bit for bit at
+    any lam in the bracket the candidates were collected for.
     """
 
     def __init__(self, instance: Instance, c0: float, stride: int = 1):
@@ -155,30 +170,68 @@ class _PhiEvaluator:
         self.c0 = c0
         self.stride = stride
         self.rows = np.arange(0, instance.n, stride)
-        self._block = np.empty((min(len(self.rows), _ROW_BLOCK), instance.n))
         self.full_evaluations = 0
         self.candidate_evaluations = 0
         self.candidate_width = 0
-
-    def _scores(self, r0: int, lam: float) -> np.ndarray:
-        """W + lam*C on the scanned rows of the block from row r0, diagonal +inf."""
-        inst = self.instance
-        # a basic slice: a view of the instance's rows, not a copy
-        rows = slice(r0, min(r0 + _ROW_BLOCK * self.stride, inst.n), self.stride)
-        costs = inst.costs[rows]
-        scores = self._block[: len(costs)]
-        with np.errstate(invalid="ignore"):  # lam=0 turns the inf diagonal into nan
-            np.multiply(costs, lam, out=scores)
-        scores += inst.weights[rows]
-        # entries (t, r0 + t*stride): row t's own column
-        scores.reshape(-1)[r0 :: inst.n + self.stride] = np.inf
-        return scores
+        self.sample_evaluations = 0
 
     def _evaluation(self, lam: float, f, w_chosen, c_chosen) -> DualEvaluation:
         m = Mapping(f=f, weight=float(w_chosen.sum()), cost=float(c_chosen.sum()))
         return DualEvaluation(
             lam=lam, phi=_line(m, lam, self.c0), argmin=m, subgradient=m.cost - self.c0
         )
+
+    def _scan(self, t0: int, t1: int, lams, f, minima, minima_above) -> list:
+        """Scanned rows [t0, t1), block by block: W + lam*C with its +inf
+        diagonal for each lam in turn, each row's argmin and minimum into
+        ``f`` and ``minima``, and, against ``minima_above``, the candidates
+        of the last lam. Returns the candidates' flat indices per block."""
+        inst, stride = self.instance, self.stride
+        n = inst.n
+        buf = np.empty((min(t1 - t0, _ROW_BLOCK), n))
+        found = []
+        for b0 in range(t0, t1, _ROW_BLOCK):
+            b1 = min(b0 + _ROW_BLOCK, t1)
+            # a basic slice: a view of the instance's rows, not a copy
+            rows = slice(b0 * stride, (b1 - 1) * stride + 1, stride)
+            costs, weights = inst.costs[rows], inst.weights[rows]
+            scores = buf[: b1 - b0]
+            for k, lam in enumerate(lams):
+                with np.errstate(invalid="ignore"):  # lam=0 turns the inf diagonal into nan
+                    np.multiply(costs, lam, out=scores)
+                scores += weights
+                # entries (t, (b0 + t)*stride): row t's own column
+                scores.reshape(-1)[b0 * stride :: n + stride] = np.inf
+                _row_minima(scores, f[k, b0:b1], minima[k, b0:b1])
+            if minima_above is not None:
+                mask = scores <= minima_above[b0:b1, None]
+                found.append(mask.reshape(-1).nonzero()[0] + b0 * n)
+        return found
+
+    def _pass(self, lams, minima_above):
+        """One pass over the scanned rows: the evaluation and the row minima
+        at each lam, plus the candidates of the last lam against
+        ``minima_above`` (None: not collected). Large passes run in row
+        chunks on threads; the candidates are joined in row order, so
+        their flat indices ascend."""
+        inst, rows = self.instance, self.rows
+        m = len(rows)
+        f = np.empty((len(lams), m), dtype=np.intp)
+        minima = np.empty((len(lams), m))
+        if minima_above is None and len(lams) > 1:
+            # filled block by block before the last lam's scan reads it
+            minima_above = minima[-2]
+        chunks = _in_row_chunks(
+            lambda t0, t1: self._scan(t0, t1, lams, f, minima, minima_above),
+            m, m * inst.n >= _THREADED_MIN_ENTRIES,
+        )
+        self.full_evaluations += len(lams)
+        found = [block for chunk in chunks for block in chunk]
+        evaluations = [
+            self._evaluation(lam, f[k], inst.weights[rows, f[k]], inst.costs[rows, f[k]])
+            for k, lam in enumerate(lams)
+        ]
+        return evaluations, minima, (np.concatenate(found) if found else None)
 
     def full(
         self, lam: float, minima_above: Optional[np.ndarray] = None
@@ -192,23 +245,17 @@ class _PhiEvaluator:
         costs are nonnegative, so for every lam' in [lam, b] each column
         attaining the row minimum, ties included, is among them.
         """
-        inst = self.instance
-        n, m = inst.n, len(self.rows)
-        f = np.empty(m, dtype=np.intp)
-        minima = np.empty(m)
-        found = []
-        for r0 in range(0, n, _ROW_BLOCK * self.stride):
-            scores = self._scores(r0, lam)
-            t0 = r0 // self.stride
-            t1 = t0 + len(scores)
-            _row_minima(scores, f[t0:t1], minima[t0:t1])
-            if minima_above is not None:
-                mask = scores <= minima_above[t0:t1, None]
-                found.append(mask.reshape(-1).nonzero()[0] + t0 * n)
-        self.full_evaluations += 1
-        rows = self.rows
-        e = self._evaluation(lam, f, inst.weights[rows, f], inst.costs[rows, f])
-        return e, minima, (np.concatenate(found) if found else None)
+        [e], minima, found = self._pass((lam,), minima_above)
+        return e, minima[0], found
+
+    def bracket(self, a: float, b: float):
+        """``full(b)`` then ``full(a, minima_b)`` in one pass, bit for bit:
+        each block of rows is scanned at b and then, while still in cache,
+        at a, collecting the candidates for [a, b]. Returns the evaluation
+        at b, its row minima, the evaluation at a, its row minima and the
+        candidates."""
+        (e_b, e_a), minima, found = self._pass((b, a), None)
+        return e_b, minima[0], e_a, minima[1], found
 
     def at_zero(self) -> DualEvaluation:
         """The evaluation at lam = 0, read from each scanned row's lightest
@@ -290,18 +337,31 @@ def maximize_dual(instance: Instance, c0: float) -> DualOptimum:
     return _solve_dual(_PhiEvaluator(instance, c0))
 
 
-def _sample_estimate(instance: Instance, c0: float) -> tuple[float, int]:
-    """The maximiser of the dual of rows 0, s, 2s, ... (s = _SAMPLE_STRIDE)
-    at the budget scaled to their number, or 0 when that dual has none
-    above 0, plus the evaluations it took. It is only a start for the full
-    bracket search, so it never raises."""
-    m = len(range(0, instance.n, _SAMPLE_STRIDE))
-    sample = _PhiEvaluator(instance, c0 * m / instance.n, _SAMPLE_STRIDE)
+def _sample_estimate(evaluate: _PhiEvaluator, cheapest: float) -> float:
+    """The maximiser of the dual of every _SAMPLE_STRIDE-th row that
+    ``evaluate`` scans, or 0 when that dual has none above 0. The sample's
+    budget is its own cheapest cost plus the headroom c0 - ``cheapest``
+    scaled to its number of rows, so it is never infeasible. The sample may
+    be sampled in turn; ``evaluate`` counts the evaluations of every level.
+    It is only a start for the bracket search, so it never raises."""
+    instance = evaluate.instance
+    stride = evaluate.stride * _SAMPLE_STRIDE
+    m = len(range(0, instance.n, stride))
+    headroom = (evaluate.c0 - cheapest) * m / len(evaluate.rows)
+    sample = _PhiEvaluator(instance, _cheapest_sum(instance, stride) + headroom, stride)
     try:
         estimate = _solve_dual(sample).lambda_star
-    except (InfeasibleBudgetError, ArithmeticError):
+    except ArithmeticError:
         estimate = 0.0
-    return estimate, sample.full_evaluations + sample.candidate_evaluations
+    evaluate.sample_evaluations = (
+        sample.full_evaluations + sample.candidate_evaluations + sample.sample_evaluations
+    )
+    return estimate
+
+
+def _cheapest_sum(instance: Instance, stride: int) -> float:
+    """The cheapest cost of a mapping of every stride-th row."""
+    return float(instance.cheapest_costs[1][::stride].sum())
 
 
 def _lambda_ceiling(n: int) -> float:
@@ -317,8 +377,7 @@ def _lambda_ceiling(n: int) -> float:
 def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
     """Maximise the dual of the rows ``evaluate`` scans."""
     c0 = evaluate.c0
-    # the scanned rows are every stride-th one
-    cheapest = float(evaluate.instance.cheapest_costs[1][:: evaluate.stride].sum())
+    cheapest = _cheapest_sum(evaluate.instance, evaluate.stride)
     if cheapest > c0:
         raise InfeasibleBudgetError(
             f"cheapest mapping costs {cheapest:.6g} > budget {c0:.6g}"
@@ -329,24 +388,31 @@ def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
     e_zero = evaluate.at_zero()
     e_lo = e_hi = e_zero
     lam = 0.0
-    sample_evaluations = 0
     if e_zero.subgradient > 0:
         # 1. A bracket [a, b] with subgradient > 0 at a and <= 0 at b. Full
         # evaluations start at b = 1.5 and a = 1/1.5 times the row sample's
-        # maximiser or, without one, at b = n log n and a = b/8, and step
-        # outward geometrically from whichever end has the wrong sign.
+        # maximiser or, without one, at b = n log n and a = b/8, both in
+        # one pass, and step outward geometrically from whichever end has
+        # the wrong sign.
         estimate = 0.0
-        if evaluate.stride == 1 and n >= _SAMPLE_MIN_N:
-            estimate, sample_evaluations = _sample_estimate(instance, c0)
+        if len(evaluate.rows) >= _SAMPLE_MIN_N:
+            estimate = _sample_estimate(evaluate, cheapest)
         if estimate > 0:
             b = min(estimate * _SAMPLE_MARGIN, _lambda_ceiling(n))
             below = estimate / _SAMPLE_MARGIN
         else:
             b = n * math.log(n)
             below = b / _BRACKET_FACTOR
-        e_hi, minima_b, _ = evaluate.full(b)
-        found = None
+        # a = 0 is on the positive side; the floor only bounds the number of
+        # full passes. Each pass below b also collects the candidates for
+        # [its lam, b], kept if it turns out to be a.
+        e_mid = found = None
+        if below > _BRACKET_FLOOR * (1.0 + b):
+            e_hi, minima_b, e_mid, minima_mid, found = evaluate.bracket(below, b)
+        else:
+            e_hi, minima_b, _ = evaluate.full(b)
         if e_hi.subgradient > 0:
+            found = None
             ceiling = _lambda_ceiling(n)
             while e_hi.subgradient > 0:
                 if b == ceiling:
@@ -354,16 +420,15 @@ def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
                 e_lo, b = e_hi, min(b * _BRACKET_FACTOR, ceiling)
                 e_hi, minima_b, _ = evaluate.full(b)
         else:
-            # a = 0 is on the positive side; the floor only bounds the
-            # number of full passes. Each pass below b also collects the
-            # candidates for [its lam, b], kept if it turns out to be a.
-            while below > _BRACKET_FLOOR * (1.0 + b):
-                e_mid, minima_mid, found = evaluate.full(below, minima_b)
+            while e_mid is not None:
                 if e_mid.subgradient > 0:
                     e_lo = e_mid
                     break
                 e_hi, minima_b, b, found = e_mid, minima_mid, below, None
                 below = b / _BRACKET_FACTOR
+                e_mid = None
+                if below > _BRACKET_FLOOR * (1.0 + b):
+                    e_mid, minima_mid, found = evaluate.full(below, minima_b)
 
         # 2. Every argmin at any lam in [a, b] is among the candidates. A
         # bracket found stepping upward, or at the floor, takes one more
@@ -407,7 +472,7 @@ def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
         full_evaluations=evaluate.full_evaluations,
         candidate_evaluations=evaluate.candidate_evaluations,
         candidate_width=evaluate.candidate_width,
-        sample_evaluations=sample_evaluations,
+        sample_evaluations=evaluate.sample_evaluations,
     )
 
 

@@ -128,6 +128,21 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _in_row_chunks(work, rows: int, threaded: bool) -> list:
+    """``work(t0, t1)`` over consecutive ranges that cover [0, rows), and
+    its results in range order. Threaded, there is one range per CPU this
+    process may run on, each of at least one block of rows, on threads that
+    start and end inside the call, so a forked worker inherits none; else
+    one range on the calling thread."""
+    chunks = min(_cpu_count(), rows // _ROW_BLOCK) if threaded else 1
+    if chunks <= 1:
+        return [work(0, rows)]
+    bounds = [rows * k // chunks for k in range(chunks + 1)]
+    with ThreadPoolExecutor(max_workers=chunks) as pool:
+        done = [pool.submit(work, t0, t1) for t0, t1 in zip(bounds, bounds[1:])]
+        return [d.result() for d in done]
+
+
 def generate(n: int, s: float, seed: int) -> Instance:
     """Draw an instance with i.i.d. U**s weights and costs on every edge."""
     if n < 2:
@@ -138,19 +153,9 @@ def generate(n: int, s: float, seed: int) -> Instance:
     cheapest_weights = np.empty(n, dtype=np.intp), np.empty(n)
     cheapest_costs = np.empty(n, dtype=np.intp), np.empty(n)
     parts = ((0, weights, *cheapest_weights), (n * n, costs, *cheapest_costs))
-    # at least one block of rows per chunk
-    chunks = 1 if n < _THREADED_MIN_N else min(_cpu_count(), n // _ROW_BLOCK)
-    if chunks == 1:
-        _draw_rows(seed, s, 0, n, parts)
-    else:
-        bounds = [n * k // chunks for k in range(chunks + 1)]
-        # A pool per call: a forked worker inherits no threads.
-        with ThreadPoolExecutor(max_workers=chunks) as pool:
-            for done in [
-                pool.submit(_draw_rows, seed, s, r0, r1, parts)
-                for r0, r1 in zip(bounds, bounds[1:])
-            ]:
-                done.result()
+    _in_row_chunks(
+        lambda r0, r1: _draw_rows(seed, s, r0, r1, parts), n, n >= _THREADED_MIN_N
+    )
     return Instance(
         n=n, s=s, weights=weights, costs=costs, seed=seed,
         cheapest_weights=cheapest_weights, cheapest_costs=cheapest_costs,

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import tracemalloc
 from dataclasses import dataclass
 
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from costarb import (
+    BudgetSpec,
     DualEvaluation,
+    ExperimentConfig,
     InfeasibleBudgetError,
     Mapping,
     TightenTooLargeError,
@@ -22,10 +25,13 @@ from costarb import (
     maximize_dual,
     min_cost_sum,
     phi,
+    run_experiment,
     solve_constrained_arborescence,
     solve_mapping,
 )
 from costarb import dual as dual_module
+from costarb import instance as instance_module
+from costarb.instance import _ROW_BLOCK, _row_minima
 from conftest import all_mappings
 
 
@@ -619,17 +625,22 @@ class TestReplayEquality:
 
     @pytest.mark.parametrize("s", [1.0, 0.6])
     def test_sample_infeasible_at_the_cheapest_budget(self, s, bracket_variant):
-        # At c0 = min_cost_sum the sample's scaled budget is below its own
-        # cheapest cost on about half the instances (seeds 0, 1 and 3 here),
-        # and the search starts at n log n as without a sample.
-        fallbacks = 0
+        # At c0 = min_cost_sum the budget c0 * m/n, scaled to the sample's
+        # m rows, is below the sample's own cheapest cost on about half the
+        # instances (seeds 0, 1 and 3 here). The sample is given its
+        # cheapest cost plus the headroom c0 - min_cost_sum scaled to its
+        # rows instead, which is never infeasible, so it runs on all four.
+        stride = dual_module._SAMPLE_STRIDE
+        infeasible_if_scaled = 0
         for seed in range(4):
             inst = generate(600, s, seed)
             c0 = min_cost_sum(inst)
             opt = self.assert_matches_reference(inst, c0)
             self.assert_same_as_shipped(inst, c0, opt)
-            fallbacks += opt.sample_evaluations == 0
-        assert fallbacks >= 1
+            sample_cheapest = inst.cheapest_costs[1][::stride].sum()
+            infeasible_if_scaled += sample_cheapest > c0 * len(range(0, 600, stride)) / 600
+            assert (opt.sample_evaluations > 0) == (bracket_variant != "unsampled")
+        assert infeasible_if_scaled >= 1
 
     def test_sample_estimate_far_off(self, bracket_variant):
         # Every sampled row's weights x100 put the estimate far above
@@ -664,11 +675,13 @@ class TestDualCounters:
     def test_full_evaluations_pinned(self):
         # At c0=sqrt(n) the plain bisection makes about fifty full
         # evaluations. The row sample's own search makes `sample` evaluations
-        # on every eighth row; the full bracket search then needs b and a,
-        # whose pass also collects the candidates; the line meeting makes
-        # `candidate` evaluations on them. Neither search makes a pass at
-        # lambda=0: the instance holds each row's lightest edge.
-        for n, full, candidate, sample in ((1000, 2, 9, 14), (3000, 2, 11, 16)):
+        # on every eighth row and, at n=3000, where those are 375 rows, on
+        # its own sample of every 64th row too: `sample` counts both levels.
+        # The full bracket search then evaluates b and a in one pass, which
+        # also collects the candidates; the line meeting makes `candidate`
+        # evaluations on them. No search makes a pass at lambda=0: the
+        # instance holds each row's lightest edge.
+        for n, full, candidate, sample in ((1000, 2, 9, 14), (3000, 2, 11, 22)):
             inst = generate(n, 1.0, 1)
             opt = maximize_dual(inst, math.sqrt(n))
             assert opt.full_evaluations == full, n
@@ -692,3 +705,161 @@ class TestDualCounters:
         assert trace["dual_candidate_evaluations"] == opt.candidate_evaluations
         assert trace["dual_sample_evaluations"] == opt.sample_evaluations > 0
         assert trace["dual_candidate_width"] == opt.candidate_width > 0
+
+    def test_only_the_smallest_sample_steps_down(self, monkeypatch):
+        # At n=3000 the 47 rows of every 64th start from n log n and step
+        # down, collecting candidates that each further step discards. The
+        # 375 rows of every eighth and the whole instance each start from
+        # the sample below them and find their bracket in the one pass at
+        # both ends.
+        passes = []
+        shipped = dual_module._PhiEvaluator._pass
+
+        def spy(self, lams, minima_above):
+            passes.append((self.stride, len(lams)))
+            return shipped(self, lams, minima_above)
+
+        monkeypatch.setattr(dual_module._PhiEvaluator, "_pass", spy)
+        opt = maximize_dual(generate(3000, 1.0, 1), math.sqrt(3000))
+        assert [p for p in passes if p[0] != 64] == [(8, 2), (1, 2)]
+        assert passes[:2] == [(64, 2), (64, 1)]
+        full_at_64 = sum(lams for stride, lams in passes if stride == 64)
+        assert 2 < full_at_64 < opt.sample_evaluations - 2
+
+
+def _serial_full(evaluate, lam, minima_above=None):
+    """Reference: ``_PhiEvaluator.full`` as it was before passes ran in row
+    chunks and at both bracket ends at once, one serial scan through one
+    buffer. Kept verbatim apart from names and the returned tuple."""
+    inst = evaluate.instance
+    n, m = inst.n, len(evaluate.rows)
+    block = np.empty((min(m, _ROW_BLOCK), n))
+    f = np.empty(m, dtype=np.intp)
+    minima = np.empty(m)
+    found = []
+    for r0 in range(0, n, _ROW_BLOCK * evaluate.stride):
+        rows = slice(r0, min(r0 + _ROW_BLOCK * evaluate.stride, inst.n), evaluate.stride)
+        costs = inst.costs[rows]
+        scores = block[: len(costs)]
+        with np.errstate(invalid="ignore"):
+            np.multiply(costs, lam, out=scores)
+        scores += inst.weights[rows]
+        scores.reshape(-1)[r0 :: inst.n + evaluate.stride] = np.inf
+        t0 = r0 // evaluate.stride
+        t1 = t0 + len(scores)
+        _row_minima(scores, f[t0:t1], minima[t0:t1])
+        if minima_above is not None:
+            mask = scores <= minima_above[t0:t1, None]
+            found.append(mask.reshape(-1).nonzero()[0] + t0 * n)
+    rows = evaluate.rows
+    weight = float(inst.weights[rows, f].sum())
+    cost = float(inst.costs[rows, f].sum())
+    return f, weight, cost, minima, (np.concatenate(found) if found else None)
+
+
+def _thread_the_passes(monkeypatch, cpus):
+    """Run every dual pass in min(cpus, rows // _ROW_BLOCK) row chunks."""
+    monkeypatch.setattr(instance_module, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(dual_module, "_THREADED_MIN_ENTRIES", 0)
+
+
+class TestThreadedPasses:
+    """The pass at both bracket ends, in any number of row chunks, is the
+    serial full(b) followed by full(a, minima_b) bit for bit."""
+
+    @staticmethod
+    def assert_evaluation(e, reference, lam):
+        f, weight, cost, _, _ = reference
+        assert e.lam == lam
+        assert e.argmin.f.tolist() == f.tolist()
+        assert (e.argmin.weight.hex(), e.argmin.cost.hex()) == (weight.hex(), cost.hex())
+
+    @pytest.mark.parametrize("stride", [1, 8, 64])
+    @pytest.mark.parametrize("n", [2, 5, 33, 600, 2100])
+    def test_equals_the_serial_passes(self, n, stride, monkeypatch):
+        inst = generate(n, 0.6, 3)
+        scans = []
+        shipped = dual_module._PhiEvaluator._scan
+
+        def spy(self, t0, t1, *args):
+            scans.append((t0, t1))
+            return shipped(self, t0, t1, *args)
+
+        monkeypatch.setattr(dual_module._PhiEvaluator, "_scan", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3, 7):
+                _thread_the_passes(monkeypatch, cpus)
+                evaluate = dual_module._PhiEvaluator(inst, 1.0, stride)
+                m = len(evaluate.rows)
+                for a, b in ((0.0, 0.5), (0.5, 2.0), (3.0, 3.0), (1e-3, 1e3)):
+                    ref_b = _serial_full(evaluate, b)
+                    ref_a = _serial_full(evaluate, a, ref_b[3])
+                    scans.clear()
+                    e_b, minima_b, e_a, minima_a, found = evaluate.bracket(a, b)
+                    assert len(scans) == max(1, min(cpus, m // _ROW_BLOCK)), (n, stride, cpus)
+                    self.assert_evaluation(e_b, ref_b, b)
+                    self.assert_evaluation(e_a, ref_a, a)
+                    assert minima_b.tobytes() == ref_b[3].tobytes()
+                    assert minima_a.tobytes() == ref_a[3].tobytes()
+                    assert found.tolist() == ref_a[4].tolist(), (n, stride, cpus, a, b)
+                    # a single evaluation, with and without collection
+                    e, minima, found = evaluate.full(a, ref_b[3])
+                    self.assert_evaluation(e, ref_a, a)
+                    assert minima.tobytes() == ref_a[3].tobytes()
+                    assert found.tolist() == ref_a[4].tolist()
+                    e, minima, found = evaluate.full(b)
+                    self.assert_evaluation(e, ref_b, b)
+                    assert minima.tobytes() == ref_b[3].tobytes() and found is None
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_dual_is_the_same_in_any_chunk_count(self, monkeypatch):
+        inst = generate(2100, 1.0, 4)
+        c0s = (math.sqrt(2100), 3.0, min_cost_sum(inst))
+        serial = [maximize_dual(inst, c0) for c0 in c0s]
+        for cpus in (2, 3, 7):
+            _thread_the_passes(monkeypatch, cpus)
+            for c0, expected in zip(c0s, serial):
+                opt = maximize_dual(inst, c0)
+                assert opt.lambda_star.hex() == expected.lambda_star.hex()
+                assert opt.phi_star.hex() == expected.phi_star.hex()
+                assert _bits(opt.mapping_low) == _bits(expected.mapping_low)
+                assert _bits(opt.mapping_high) == _bits(expected.mapping_high)
+                assert (
+                    opt.full_evaluations, opt.candidate_evaluations,
+                    opt.candidate_width, opt.sample_evaluations,
+                ) == (
+                    expected.full_evaluations, expected.candidate_evaluations,
+                    expected.candidate_width, expected.sample_evaluations,
+                )
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        # Both the draw and the dual's passes run on threads here, and every
+        # thread has ended when the call returns.
+        _thread_the_passes(monkeypatch, 2)
+        workers = set()
+        shipped = dual_module._PhiEvaluator._scan
+
+        def spy(self, *args):
+            workers.add(threading.current_thread() is not threading.main_thread())
+            return shipped(self, *args)
+
+        monkeypatch.setattr(dual_module._PhiEvaluator, "_scan", spy)
+        before = threading.active_count()
+        inst = generate(instance_module._THREADED_MIN_N, 1.0, 5)
+        assert threading.active_count() == before
+        maximize_dual(inst, math.sqrt(inst.n))
+        assert threading.active_count() == before
+        assert True in workers
+
+    def test_forked_workers_after_threaded_passes(self, monkeypatch):
+        # The passes' pools are gone when they return, so a worker forked
+        # after threaded passes still solves; the report is the serial one
+        _thread_the_passes(monkeypatch, 2)
+        maximize_dual(generate(600, 1.0, 0), math.sqrt(600))
+        config = dict(n=600, s=1.0, trials=3, base_seed=5, budget=BudgetSpec("power", 0.5))
+        serial = run_experiment(ExperimentConfig(**config, parallelism=1))
+        forked = run_experiment(ExperimentConfig(**config, parallelism=2))
+        assert forked.to_json() == serial.to_json()
