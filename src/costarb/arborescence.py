@@ -12,6 +12,7 @@ conventional away-from-root one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -187,11 +188,12 @@ def validate(arb: Arborescence, instance: Instance) -> tuple[bool, list]:
     if not 0 <= arb.root < n:
         diags.append(f"root {arb.root} out of range")
         return False, diags
-    if parent[arb.root] != -1:
-        diags.append(f"root {arb.root} has parent {parent[arb.root]}")
+    parent_list = parent.tolist()
+    if parent_list[arb.root] != -1:
+        diags.append(f"root {arb.root} has parent {parent_list[arb.root]}")
     non_root = [v for v in range(n) if v != arb.root]
     for v in non_root:
-        p = parent[v]
+        p = parent_list[v]
         if not 0 <= p < n:
             diags.append(f"vertex {v} has out-of-range parent {p}")
         elif p == v:
@@ -200,7 +202,6 @@ def validate(arb: Arborescence, instance: Instance) -> tuple[bool, list]:
         return False, diags
 
     # memoized parent chase: each vertex is walked at most once overall
-    parent_list = parent.tolist()
     reaches_root = bytearray(n)
     reaches_root[arb.root] = 1
     for v in non_root:
@@ -354,14 +355,18 @@ def exact_mapping_oracle(instance: Instance, c0: float) -> Mapping:
     return make_mapping(instance, r + (r >= np.arange(n)))
 
 
-def exact_arborescence_oracle(instance: Instance, c0: float) -> Arborescence:
-    """Global constrained optimum by enumerating roots x parent assignments."""
-    n = instance.n
-    if n > _ORACLE_MAX_N:
-        raise SizeLimitError(f"arborescence oracle capped at n={_ORACLE_MAX_N}, got {n}")
-    # each non-root vertex's choice digit, in the lex order of the sums
+@functools.lru_cache(maxsize=_ORACLE_MAX_N)
+def _arborescence_table(n: int) -> tuple:
+    """Every spanning arborescence on n vertices, one read-only array per root.
+
+    Row k of ``table[root]`` is a parent array (``parent[root] = -1``); rows
+    ascend in the lex order of the non-root vertices' choice digits, digit r
+    of vertex v naming its r-th out-neighbour. Each root has n^(n-2) rows
+    (Cayley). Built on the first call for each n.
+    """
+    # each non-root vertex's choice digit, one row per digit string in lex order
     digits = np.indices((n - 1,) * (n - 1)).reshape(n - 1, -1).T
-    best: Optional[tuple[float, float, int, np.ndarray]] = None
+    table = []
     for root in range(n):
         non_root = [v for v in range(n) if v != root]
         # a self-loop at the root: the chase below parks there
@@ -370,24 +375,44 @@ def exact_arborescence_oracle(instance: Instance, c0: float) -> Arborescence:
         reach = parents
         for _ in range((n - 2).bit_length()):
             reach = np.take_along_axis(reach, reach, axis=1)
-        valid = (reach == root).all(axis=1)
-        if not valid.any():
-            continue
-        sub = [[u for u in range(n) if u != v] for v in non_root]
-        w = _enumerate_choice_sums(instance.weights[non_root], sub)
-        c = _enumerate_choice_sums(instance.costs[non_root], sub)
-        feasible = valid & (c <= c0)
+        rows = parents[(reach == root).all(axis=1)]
+        rows[:, root] = -1
+        rows.flags.writeable = False
+        table.append(rows)
+    return tuple(table)
+
+
+def exact_arborescence_oracle(instance: Instance, c0: float) -> Arborescence:
+    """Global constrained optimum over every spanning arborescence.
+
+    Each root's n^(n-2) arborescences (Cayley) come from a table built once
+    per n. Per root, weights and costs are summed over the non-root vertices
+    in increasing order from 0.0, the order of ``_enumerate_choice_sums``,
+    and the first lightest in-budget row wins; a later root replaces it only
+    when strictly lighter.
+    """
+    n = instance.n
+    if n > _ORACLE_MAX_N:
+        raise SizeLimitError(f"arborescence oracle capped at n={_ORACLE_MAX_N}, got {n}")
+    best: Optional[tuple[float, float, int, np.ndarray]] = None
+    for root, parents in enumerate(_arborescence_table(n)):
+        w = np.zeros(len(parents))
+        c = np.zeros(len(parents))
+        for v in range(n):
+            if v != root:
+                w += instance.weights[v, parents[:, v]]
+                c += instance.costs[v, parents[:, v]]
+        feasible = c <= c0
         if not feasible.any():
             continue
         i = int(np.argmin(np.where(feasible, w, np.inf)))
         if best is None or w[i] < best[0]:
-            best = (float(w[i]), float(c[i]), root, parents[i].copy())
+            best = (float(w[i]), float(c[i]), root, parents[i])
 
     if best is None:
         raise InfeasibleBudgetError(f"no arborescence fits budget {c0:.6g}")
     weight, cost, root, parent = best
-    parent[root] = -1
-    return Arborescence(root=root, parent=parent, weight=weight, cost=cost)
+    return Arborescence(root=root, parent=parent.copy(), weight=weight, cost=cost)
 
 
 @dataclass(frozen=True, eq=False)

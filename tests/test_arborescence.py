@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from costarb import (
     Arborescence,
+    arborescence as arb_mod,
     InfeasibleBudgetError,
     RepairBudgetExceededError,
     SizeLimitError,
@@ -14,9 +15,11 @@ from costarb import (
     edmonds,
     exact_arborescence_oracle,
     exact_mapping_oracle,
+    from_arrays,
     generate,
     make_mapping,
     repair,
+    run_oracle_suite,
     solve_constrained_arborescence,
     uniform_mapping,
     validate,
@@ -166,6 +169,26 @@ class TestValidate:
         arb = Arborescence(root=2, parent=np.array([1, 2, -1]), weight=0.30, cost=1.40)
         ok, diags = validate(arb, worked)
         assert ok, diags
+
+    # Diagnostics as the code that indexed the numpy array gave them.
+    @pytest.mark.parametrize("root,parent,diags", [
+        (1, [7, -1, 1, 2, 5],
+         ["vertex 0 has out-of-range parent 7", "vertex 4 has out-of-range parent 5"]),
+        (1, [1, -1, 9, -3, 4],
+         ["vertex 2 has out-of-range parent 9", "vertex 3 has out-of-range parent -3",
+          "vertex 4 is its own parent"]),
+        (1, [0, -1, 1, 1, 1], ["vertex 0 is its own parent"]),
+        (3, [1, 3, 1, 1, 2], ["root 3 has parent 1"]),
+        (3, [1, 3, 2, 1, 2], ["root 3 has parent 1", "vertex 2 is its own parent"]),
+        (0, [4, 0, 1, 2, 3], ["root 0 has parent 4"]),
+        (3, [1, 2, 0, -1, 3], ["cycle reachable from vertex 0: [0, 1, 2]"]),
+        (4, [1, 0, 4, 2, -1], ["cycle reachable from vertex 0: [0, 1]"]),
+    ], ids=["out-of-range", "mixed", "self-parent", "root-parent", "root-and-self",
+            "root-parent-only", "cycle", "cycle-with-tail"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_diagnostics_on_corrupted_parents(self, root, parent, diags, dtype):
+        arb = Arborescence(root=root, parent=np.array(parent, dtype=dtype), weight=0.0, cost=0.0)
+        assert validate(arb, generate(5, 1.0, 3)) == (False, diags)
 
 
 class TestEdmonds:
@@ -435,3 +458,73 @@ class TestEqualsTheOldCode:
                 assert _arborescence_or_error(exact_arborescence_oracle, inst, c0) == (
                     _arborescence_or_error(_reference_arborescence_oracle, inst, c0)
                 ), (n, c0)
+
+    @pytest.mark.parametrize("s", [1.0, 0.5])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_arborescence_oracle_at_the_feasibility_edge(self, n, s):
+        for seed in range(8):
+            inst = generate(n, s, seed)
+            # the min-cost arborescence's cost, summed as the oracles sum it
+            edge = _reference_arborescence_oracle(
+                from_arrays(inst.costs, inst.costs), math.inf
+            ).weight
+            for c0 in (edge, np.nextafter(edge, 0.0)):
+                assert _arborescence_or_error(exact_arborescence_oracle, inst, c0) == (
+                    _arborescence_or_error(_reference_arborescence_oracle, inst, c0)
+                ), (n, s, seed, c0)
+            assert exact_arborescence_oracle(inst, edge).cost == edge
+            with pytest.raises(InfeasibleBudgetError):
+                exact_arborescence_oracle(inst, np.nextafter(edge, 0.0))
+
+
+def _choice_digits(parents: np.ndarray, root: int) -> np.ndarray:
+    """Each non-root vertex's digit: its parent's rank among its out-neighbours."""
+    non_root = [v for v in range(parents.shape[1]) if v != root]
+    cols = parents[:, non_root]
+    return cols - (cols > np.asarray(non_root))
+
+
+class TestArborescenceTable:
+    """The per-n table the arborescence oracle enumerates."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_invariants(self, n):
+        table = arb_mod._arborescence_table(n)
+        assert len(table) == n
+        for root, parents in enumerate(table):
+            assert parents.shape == (n ** (n - 2), n)  # Cayley
+            assert parents.dtype == np.int64
+            assert not parents.flags.writeable
+            assert (parents[:, root] == -1).all()
+            # a chase of n - 1 steps, with the root parked on itself
+            hop = np.where(np.arange(n) == root, root, parents)
+            reach = hop.copy()
+            rows = np.arange(len(hop))[:, None]
+            for _ in range(n - 1):
+                reach = hop[rows, reach]
+            assert (reach == root).all()
+            # strictly ascending digit strings, read as base-(n-1) numbers
+            digits = _choice_digits(parents, root)
+            code = digits @ ((n - 1) ** np.arange(n - 2, -1, -1))
+            assert (np.diff(code) > 0).all()
+        assert arb_mod._arborescence_table(n) is table
+
+    def test_oracle_suite_builds_each_table_once(self):
+        arb_mod._arborescence_table.cache_clear()
+        report = run_oracle_suite(108, (4, 5, 6), 601)
+        assert report.instances == 108
+        info = arb_mod._arborescence_table.cache_info()
+        assert (info.misses, info.currsize) == (3, 3)
+
+    def test_no_table_work_once_built(self, monkeypatch):
+        inst = generate(6, 1.0, 5)
+        exact_arborescence_oracle(inst, math.inf)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle rebuilt its table")
+
+        for name in ("indices", "insert", "take_along_axis"):
+            monkeypatch.setattr(np, name, forbidden)
+        arb = exact_arborescence_oracle(generate(6, 1.0, 6), 3.0)
+        # the answer is the caller's own array, not a view of the table
+        assert arb.parent.flags.writeable and arb.parent.flags.owndata
