@@ -1,4 +1,4 @@
-"""Functional digraphs, cycle repair, Edmonds' baseline, and exact oracles.
+"""Functional digraphs, cycle repair, Edmonds' algorithm, and exact oracles.
 
 A mapping's digraph {(i, f(i))} has out-degree one everywhere and decomposes
 into components, each a directed cycle with trees hanging off it. Deleting
@@ -7,7 +7,9 @@ rooted component turns the mapping into a spanning structure in which every
 non-root vertex owns exactly one edge (v, parent[v]) and parent chains reach
 the root. Weights and costs are summed over those n-1 edges; under the
 i.i.d. edge model this orientation is distribution-equivalent to the
-conventional away-from-root one.
+conventional away-from-root one. Edmonds' algorithm gives the minimum
+arborescence of W + lam*C for any multiplier lam >= 0, contracting cycles in
+place on one dense score matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -119,9 +121,10 @@ def repair(
     becomes the root. Remaining cycles, largest component first, each free
     the analogous vertex and re-point it at the vertex in the already-rooted
     set minimising W + lambda*C among edges that keep the running cost within
-    c0. If no in-budget reconnection exists the cheapest-cost edge is used
-    and RepairBudgetExceededError is raised at the end, carrying the
-    completed structure. Raises ValueError unless 0 <= lambda_star < inf.
+    c0. If no in-budget reconnection exists the cheapest-cost edge is used.
+    RepairBudgetExceededError, carrying the completed structure, is raised
+    only if that structure costs more than c0. Raises ValueError unless
+    0 <= lambda_star < inf.
     """
     if not 0.0 <= lambda_star < math.inf:
         raise ValueError(f"lambda_star must be nonnegative and finite, got {lambda_star}")
@@ -135,7 +138,6 @@ def repair(
     running_w = mapping.weight
     running_c = mapping.cost
     rooted = np.zeros(n, dtype=bool)
-    budget_breached = False
 
     def break_vertex(cycle):
         scores = [weights[v, parent[v]] + lambda_star * costs[v, parent[v]] for v in cycle]
@@ -159,9 +161,8 @@ def repair(
             scores = weights[v] + lambda_star * costs[v]
         scores = np.where(rooted & (costs[v] <= room), scores, np.inf)
         if np.isinf(scores.min()):
-            # fall back to the cheapest reconnection and flag the breach
+            # fall back to the cheapest reconnection; later breaks may regain the budget
             scores = np.where(rooted, costs[v], np.inf)
-            budget_breached = True
         u = int(np.argmin(scores))
         parent[v] = u
         running_w += weights[v, u]
@@ -169,7 +170,7 @@ def repair(
         rooted[dec.component_of == cid] = True
 
     arb = Arborescence(root=root, parent=parent, weight=float(running_w), cost=float(running_c))
-    if budget_breached:
+    if arb.cost > c0:
         raise RepairBudgetExceededError(
             f"no reconnection kept cost within {c0:.6g} (reached {running_c:.6g}); "
             "retry with a larger tighten",
@@ -238,88 +239,86 @@ def _min_out_tree(score: np.ndarray, root: int) -> np.ndarray:
     """Minimum spanning out-edge tree: every v != root picks one out-edge
     (v -> parent) and parent chains reach the root.
 
-    Recursive cycle contraction. Ties break toward the smallest vertex
-    index, making the result deterministic.
+    ``score`` has a +inf diagonal and root row, and is overwritten. Cycles
+    are contracted in place on it (Tarjan 1977, with the
+    Camerini-Fratta-Maffioli 1979 correction): a cycle's first vertex stands
+    for it, its row becomes each column's cheapest way out (score minus the
+    cycle edge dropped) and its column each row's cheapest way in, and the
+    other members close. A walk from each vertex follows the chosen
+    out-edges, memoising the vertices known to reach the root; a new cycle
+    can only run through the new supernode, so the walk goes on from there.
+    Each contraction pushes O(n) for the expansion, which unwinds the pushes
+    in reverse. Ties break toward the smallest column index.
     """
-    n = score.shape[0]
-    masked = score.copy()
-    np.fill_diagonal(masked, np.inf)
-    masked[root, :] = np.inf
-    parent = np.argmin(masked, axis=1)
-    # a cycle among the chosen out-edges, if any, besides the root made a loop
+    m = score.shape[0]
+    alive = np.ones(m, dtype=bool)
+    in_cycle = np.zeros(m, dtype=bool)
+    reaches_root = np.zeros(m, dtype=bool)
+    reaches_root[root] = True
+    walked = np.full(m, -1)  # the start of the walk that last met the vertex
+    parent = np.argmin(score, axis=1)
     parent[root] = root
-    cycle = next((c for c in decompose(parent).cycles if c != [root]), None)
+    pushes = []
+    for start in range(m):
+        path = []
+        v = start
+        while alive[v] and not reaches_root[v]:
+            if walked[v] != start:
+                walked[v] = start
+                path.append(v)
+                v = parent[v]
+                continue
+            # the walk met itself: contract the cycle into its first vertex
+            i = path.index(v)
+            cycle = np.asarray(path[i:], dtype=np.int32)
+            del path[i + 1:]
+            cycle_parent = parent[cycle]
+            out = score[cycle] - score[cycle, cycle_parent][:, None]
+            exits = cycle[np.argmin(out, axis=0)]
+            into = score[:, cycle]
+            entries = cycle[np.argmin(into, axis=1)]
+            pushes.append((v, cycle, cycle_parent, exits, entries))
+            alive[cycle[1:]] = False
+            score[v] = out.min(axis=0)
+            score[:, v] = into.min(axis=1)
+            score[v, v] = np.inf
+            in_cycle[cycle] = True
+            parent[in_cycle[parent]] = v
+            in_cycle[cycle] = False
+            parent[v] = np.argmin(np.where(alive, score[v], np.inf))
+            v = parent[v]
+        reaches_root[path] = True
+
+    for c, cycle, cycle_parent, exits, entries in reversed(pushes):
+        p = parent[c]
+        into = parent == c
+        parent[into] = entries[into]
+        parent[cycle] = cycle_parent
+        parent[exits[p]] = p
     parent[root] = -1
-    if cycle is None:
-        return parent
-
-    in_cycle = np.zeros(n, dtype=bool)
-    in_cycle[cycle] = True
-    keep = [v for v in range(n) if not in_cycle[v]]
-    m = len(keep)
-    q = m  # contracted supernode id in the reduced graph
-    new_id = {v: i for i, v in enumerate(keep)}
-
-    reduced = np.full((m + 1, m + 1), np.inf)
-    reduced[np.ix_(range(m), range(m))] = score[np.ix_(keep, keep)]
-
-    cyc = np.asarray(cycle)
-    chosen = score[cyc, parent[cyc]]  # cost of each cycle vertex's cycle edge
-    # out of the cycle: leaving vertex v pays its edge minus the cycle edge it drops
-    out_scores = score[cyc][:, keep] - chosen[:, None]
-    exit_vertex = cyc[np.argmin(out_scores, axis=0)]
-    reduced[q, :m] = out_scores.min(axis=0)
-    # into the cycle: remember which cycle vertex each outside vertex would target
-    in_scores = score[keep][:, cyc]
-    entry_target = cyc[np.argmin(in_scores, axis=1)]
-    reduced[:m, q] = in_scores.min(axis=1)
-
-    reduced_root = new_id[root]
-    sub_parent = _min_out_tree(reduced, reduced_root)
-
-    result = np.empty(n, dtype=np.int64)
-    result[root] = -1
-    for v in keep:
-        p = sub_parent[new_id[v]]
-        if v == root:
-            continue
-        result[v] = entry_target[new_id[v]] if p == q else keep[p]
-    for v in cyc:
-        result[v] = parent[v]
-    # the supernode's out-edge is realised by one cycle vertex, which drops
-    # its cycle edge
-    p = int(sub_parent[q])
-    result[int(exit_vertex[p])] = keep[p]
-    return result
+    return parent
 
 
-def edmonds(
-    instance: Instance,
-    edge_score: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-) -> Arborescence:
-    """Minimum-total-score spanning arborescence over all roots.
+def edmonds(instance: Instance, lam: float = 0.0) -> Arborescence:
+    """Minimum spanning arborescence of W + lam*C over all roots.
 
-    ``edge_score`` receives the weight and cost matrices and returns the score
-    matrix; the default scores by weight alone. The best root is found in one
-    pass via a virtual super-root joined to every vertex at a uniform large
-    score, so exactly one real vertex attaches to it.
+    The best root is found in one pass via a virtual super-root joined to
+    every vertex at a uniform large score, so exactly one real vertex
+    attaches to it. One (n+1) x (n+1) score matrix is made per call and
+    contracted in place. Raises ValueError unless 0 <= lam < inf.
     """
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     n = instance.n
-    if edge_score is None:
-        score = instance.weights.copy()
-    else:
-        with np.errstate(invalid="ignore"):  # score fns may turn the inf diagonal into nan
-            score = np.array(edge_score(instance.weights, instance.costs), dtype=np.float64)
-        if score.shape != (n, n):
-            raise ValueError(f"edge_score returned shape {score.shape}, expected {(n, n)}")
-    np.fill_diagonal(score, np.inf)
-    finite = score[np.isfinite(score)]
-    big = 2.0 * (n + 1) * (float(np.abs(finite).max()) + 1.0) if finite.size else 1.0
-
-    full = np.full((n + 1, n + 1), np.inf)
-    full[:n, :n] = score
-    full[:n, n] = big
-    parent = _min_out_tree(full, n)
+    score = np.full((n + 1, n + 1), np.inf)
+    block = score[:n, :n]
+    block[...] = instance.costs
+    np.fill_diagonal(block, 0.0)
+    block *= lam
+    block += instance.weights
+    big = 2.0 * (n + 1) * (float(np.max(block, where=np.isfinite(block), initial=0.0)) + 1.0)
+    score[:n, n] = big
+    parent = _min_out_tree(score, n)
 
     root = int(np.nonzero(parent[:n] == n)[0][0])
     parent = parent[:n].copy()

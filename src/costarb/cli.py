@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--in", dest="infile", help="load instance instead of generating")
         _add_budget_flags(p)
-        p.add_argument("--tighten", type=float, default=None)
+        if name == "solve":  # the dual alone has no repair to leave room for
+            p.add_argument("--tighten", type=float, default=None)
         p.add_argument("--out")
 
     p = sub.add_parser("predict", help="closed-form regime prediction")

@@ -319,9 +319,7 @@ class OracleSuiteReport:
         }
 
 
-def run_oracle_suite(
-    count: int, n_range, seed: int, _corrupt_check: Optional[str] = None
-) -> OracleSuiteReport:
+def run_oracle_suite(count: int, n_range, seed: int) -> OracleSuiteReport:
     """Cross-validate the solver stack against exhaustive small-n oracles.
 
     For each seeded instance: (a) Edmonds matches the exhaustive
@@ -329,7 +327,6 @@ def run_oracle_suite(
     constrained-mapping optimum, (c) the full pipeline yields a valid
     arborescence within budget, (d) the mapping's weight stays below its dual
     bound plus its heaviest edge. Violations carry the replaying seed.
-    ``_corrupt_check`` is a self-test hook that falsifies one comparison.
     """
     n_values = sorted(n_range)
     if not n_values or n_values[0] < 2 or n_values[-1] > 7:
@@ -355,8 +352,7 @@ def run_oracle_suite(
         checks += 1
         unconstrained = arb_mod.edmonds(inst)
         oracle_free = arb_mod.exact_arborescence_oracle(inst, math.inf)
-        ed_weight = unconstrained.weight + (0.5 if _corrupt_check == "edmonds" else 0.0)
-        if abs(ed_weight - oracle_free.weight) > 1e-9:
+        if abs(unconstrained.weight - oracle_free.weight) > 1e-9:
             record("edmonds", f"{unconstrained.weight!r} != oracle {oracle_free.weight!r}")
 
         # One dual solve serves checks (b) and (d); an error it raises is
@@ -391,8 +387,6 @@ def run_oracle_suite(
             if isinstance(solved, CostarbError):
                 raise solved
             bound = solved.lower_bound + solved.w_max_used + 1e-9
-            if _corrupt_check == "gap":
-                bound -= 1.0
             if solved.mapping.weight > bound:
                 record(
                     "gap-sandwich",

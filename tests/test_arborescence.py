@@ -1,4 +1,6 @@
 import math
+import sys
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from costarb import (
     Arborescence,
     arborescence as arb_mod,
     InfeasibleBudgetError,
+    Instance,
     RepairBudgetExceededError,
     SizeLimitError,
     decompose,
@@ -216,13 +219,14 @@ class TestEdmonds:
     def test_zero_cost_score_equals_weight_score(self):
         inst = generate(6, 1.0, 9)
         a = edmonds(inst)
-        b = edmonds(inst, edge_score=lambda w, c: w + 0.0 * c)
-        assert a.weight == pytest.approx(b.weight)
+        b = edmonds(inst, lam=0.0)
+        assert (a.root, a.parent.tolist()) == (b.root, b.parent.tolist())
+        assert a.weight == exact_arborescence_oracle(inst, math.inf).weight
 
     def test_lagrangian_score(self):
         inst = generate(5, 1.0, 12)
         lam = 0.7
-        arb = edmonds(inst, edge_score=lambda w, c: w + lam * c)
+        arb = edmonds(inst, lam=lam)
         oracle = exact_arborescence_oracle(inst, math.inf)
         # scored tree minimises W + lam*C, so its score is <= the W-optimum's
         rows = [v for v in range(5) if v != arb.root]
@@ -236,6 +240,22 @@ class TestEdmonds:
             for v in rows_o
         )
         assert score <= score_o + 1e-9
+
+    @pytest.mark.parametrize("lam", [-0.5, math.nan, math.inf])
+    def test_rejects_a_multiplier_outside_the_model(self, lam):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            edmonds(generate(5, 1.0, 3), lam=lam)
+
+    def test_runs_at_n3000_under_the_default_recursion_limit(self):
+        # one contraction per recursion level once hit the limit near n=2000
+        assert sys.getrecursionlimit() <= 1000
+        inst = generate(3000, 1.0, 0)
+        arb = edmonds(inst)
+        ok, diags = validate(arb, inst)
+        assert ok, diags
+        # each non-root vertex pays at least its row minimum
+        row_min = inst.cheapest_weights[1]
+        assert arb.weight >= row_min.sum() - row_min.max() - 1e-9
 
 
 class TestOracles:
@@ -292,6 +312,31 @@ class TestPipeline:
             assert ok, diags
             assert res.arborescence.cost <= 10.0
 
+    def test_repair_that_regains_the_budget_does_not_raise(self):
+        # one reconnection here has no in-budget edge, yet the finished
+        # arborescence fits c0; repair once raised on it
+        inst = generate(1000, 1.0, 1028)
+        res = solve_constrained_arborescence(inst, 2.0, tighten=0.0)
+        ok, diags = validate(res.arborescence, inst)
+        assert ok, diags
+        assert res.arborescence.cost == pytest.approx(1.99930, abs=1e-5)
+        assert res.arborescence.cost <= 2.0
+
+    def test_lower_bound_does_not_bound_the_arborescence(self):
+        # lower_bound bounds the constrained mapping optimum only: a
+        # Lagrangian arborescence within c0 is lighter than it
+        inst = generate(300, 1.0, 0)
+        c0 = math.sqrt(300)
+        res = solve_constrained_arborescence(inst, c0)
+        arb = edmonds(inst, lam=0.4551)
+        ok, diags = validate(arb, inst)
+        assert ok, diags
+        assert arb.cost == pytest.approx(17.32042, abs=1e-5)
+        assert arb.cost <= c0
+        assert arb.weight == pytest.approx(7.44737, abs=1e-5)
+        assert res.lower_bound == pytest.approx(7.52788, abs=1e-5)
+        assert arb.weight < res.lower_bound
+
     def test_infeasible_budget_raises(self, worked):
         with pytest.raises(InfeasibleBudgetError):
             solve_constrained_arborescence(worked, 0.5)
@@ -336,9 +381,9 @@ def test_arborescence_json_dict(worked):
     assert d["trace"]["lambda_star"] == 0.5
 
 
-# Reference: the cycle search that _min_out_tree made with a colour walk of
-# its own before it called decompose. Kept verbatim apart from the name and
-# the return.
+# Reference: the cycle search that the recursive Edmonds made with a colour
+# walk of its own before it called decompose. Kept verbatim apart from the
+# name and the return.
 def _reference_colour_walk_cycle(parent: np.ndarray, root: int):
     n = len(parent)
     # locate a cycle among the chosen out-edges, if any
@@ -411,17 +456,118 @@ def _reference_arborescence_oracle(instance, c0: float) -> Arborescence:
     return Arborescence(root=root, parent=parent, weight=weight, cost=cost)
 
 
-def _arborescence_or_error(oracle, inst, c0):
-    try:
-        a = oracle(inst, c0)
-    except InfeasibleBudgetError as exc:
-        return type(exc)
+# Reference: the recursive Edmonds that contracted one cycle per level on
+# rebuilt copies of the score matrix. Kept verbatim apart from the names.
+def _reference_min_out_tree(score: np.ndarray, root: int) -> np.ndarray:
+    """Minimum spanning out-edge tree: every v != root picks one out-edge
+    (v -> parent) and parent chains reach the root.
+
+    Recursive cycle contraction. Ties break toward the smallest vertex
+    index, making the result deterministic.
+    """
+    n = score.shape[0]
+    masked = score.copy()
+    np.fill_diagonal(masked, np.inf)
+    masked[root, :] = np.inf
+    parent = np.argmin(masked, axis=1)
+    # a cycle among the chosen out-edges, if any, besides the root made a loop
+    parent[root] = root
+    cycle = next((c for c in decompose(parent).cycles if c != [root]), None)
+    parent[root] = -1
+    if cycle is None:
+        return parent
+
+    in_cycle = np.zeros(n, dtype=bool)
+    in_cycle[cycle] = True
+    keep = [v for v in range(n) if not in_cycle[v]]
+    m = len(keep)
+    q = m  # contracted supernode id in the reduced graph
+    new_id = {v: i for i, v in enumerate(keep)}
+
+    reduced = np.full((m + 1, m + 1), np.inf)
+    reduced[np.ix_(range(m), range(m))] = score[np.ix_(keep, keep)]
+
+    cyc = np.asarray(cycle)
+    chosen = score[cyc, parent[cyc]]  # cost of each cycle vertex's cycle edge
+    # out of the cycle: leaving vertex v pays its edge minus the cycle edge it drops
+    out_scores = score[cyc][:, keep] - chosen[:, None]
+    exit_vertex = cyc[np.argmin(out_scores, axis=0)]
+    reduced[q, :m] = out_scores.min(axis=0)
+    # into the cycle: remember which cycle vertex each outside vertex would target
+    in_scores = score[keep][:, cyc]
+    entry_target = cyc[np.argmin(in_scores, axis=1)]
+    reduced[:m, q] = in_scores.min(axis=1)
+
+    reduced_root = new_id[root]
+    sub_parent = _reference_min_out_tree(reduced, reduced_root)
+
+    result = np.empty(n, dtype=np.int64)
+    result[root] = -1
+    for v in keep:
+        p = sub_parent[new_id[v]]
+        if v == root:
+            continue
+        result[v] = entry_target[new_id[v]] if p == q else keep[p]
+    for v in cyc:
+        result[v] = parent[v]
+    # the supernode's out-edge is realised by one cycle vertex, which drops
+    # its cycle edge
+    p = int(sub_parent[q])
+    result[int(exit_vertex[p])] = keep[p]
+    return result
+
+
+def _reference_edmonds(
+    instance: Instance,
+    edge_score: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+) -> Arborescence:
+    """Minimum-total-score spanning arborescence over all roots.
+
+    ``edge_score`` receives the weight and cost matrices and returns the score
+    matrix; the default scores by weight alone. The best root is found in one
+    pass via a virtual super-root joined to every vertex at a uniform large
+    score, so exactly one real vertex attaches to it.
+    """
+    n = instance.n
+    if edge_score is None:
+        score = instance.weights.copy()
+    else:
+        with np.errstate(invalid="ignore"):  # score fns may turn the inf diagonal into nan
+            score = np.array(edge_score(instance.weights, instance.costs), dtype=np.float64)
+        if score.shape != (n, n):
+            raise ValueError(f"edge_score returned shape {score.shape}, expected {(n, n)}")
+    np.fill_diagonal(score, np.inf)
+    finite = score[np.isfinite(score)]
+    big = 2.0 * (n + 1) * (float(np.abs(finite).max()) + 1.0) if finite.size else 1.0
+
+    full = np.full((n + 1, n + 1), np.inf)
+    full[:n, :n] = score
+    full[:n, n] = big
+    parent = _reference_min_out_tree(full, n)
+
+    root = int(np.nonzero(parent[:n] == n)[0][0])
+    parent = parent[:n].copy()
+    parent[root] = -1
+    rows = np.asarray([v for v in range(n) if v != root])
+    weight = float(instance.weights[rows, parent[rows]].sum())
+    cost = float(instance.costs[rows, parent[rows]].sum())
+    return Arborescence(root=root, parent=parent, weight=weight, cost=cost)
+
+
+def _bits(a: Arborescence):
     return a.root, a.parent.dtype, a.parent.tolist(), a.weight.hex(), a.cost.hex()
 
 
+def _arborescence_or_error(oracle, inst, c0):
+    try:
+        return _bits(oracle(inst, c0))
+    except InfeasibleBudgetError as exc:
+        return type(exc)
+
+
 class TestEqualsTheOldCode:
-    """The cycle search and the arborescence oracle give what the code they
-    replaced gave, bit for bit."""
+    """The cycle search, the arborescence oracle and Edmonds give what the
+    code they replaced gave, bit for bit (Edmonds on tie-free input)."""
 
     def test_cycle_search_is_the_colour_walk(self):
         rng = np.random.default_rng(8)
@@ -430,7 +576,7 @@ class TestEqualsTheOldCode:
             n = int(rng.integers(2, 13))
             root = int(rng.integers(n))
             # out-edges of an argmin over a masked diagonal: no self-loops
-            # except at the root, which _min_out_tree makes a fixed point
+            # except at the root, which the recursive Edmonds made a fixed point
             parent = uniform_mapping(n, rng)
             parent[root] = root
             cycle = next((c for c in decompose(parent).cycles if c != [root]), None)
@@ -475,6 +621,44 @@ class TestEqualsTheOldCode:
             assert exact_arborescence_oracle(inst, edge).cost == edge
             with pytest.raises(InfeasibleBudgetError):
                 exact_arborescence_oracle(inst, np.nextafter(edge, 0.0))
+
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_edmonds_on_random_instances(self, n, lam):
+        for seed in range(200):
+            inst = generate(n, 1.0, seed)
+            assert _bits(edmonds(inst, lam)) == _bits(
+                _reference_edmonds(inst, lambda w, c: w + lam * c)
+            ), (n, seed)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize("n", [20, 50, 120, 300])
+    def test_edmonds_on_larger_instances(self, n, lam):
+        for seed in range(3):
+            inst = generate(n, 0.5 + 0.25 * seed, seed)
+            assert _bits(edmonds(inst, lam)) == _bits(
+                _reference_edmonds(inst, lambda w, c: w + lam * c)
+            ), (n, seed)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_edmonds_on_grids_of_eighths(self, lam):
+        # scores are sixteenths, so sums are exact and ties are frequent:
+        # trees may differ, optimal scores may not
+        rng = np.random.default_rng(31)
+        for n in range(3, 31):
+            for _ in range(10):
+                w, c = rng.integers(0, 9, (2, n, n)) / 8
+                inst = from_arrays(w, c)
+                arb = edmonds(inst, lam)
+                ok, diags = validate(arb, inst)
+                assert ok, diags
+                ref = _reference_edmonds(inst, lambda w, c: w + lam * c)
+                assert arb.weight + lam * arb.cost == ref.weight + lam * ref.cost, n
+                if n <= 7:
+                    scored = from_arrays(w + lam * c, c)
+                    oracle = exact_arborescence_oracle(scored, math.inf)
+                    assert arb.weight + lam * arb.cost == oracle.weight, n
 
 
 def _choice_digits(parents: np.ndarray, root: int) -> np.ndarray:

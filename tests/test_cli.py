@@ -128,6 +128,17 @@ class TestDualCommand:
         payload = json.loads(out)
         assert payload["mapping_high"]["cost"] <= payload["mapping_low"]["cost"]
 
+    @pytest.mark.parametrize("tighten", ["7.5", "-3"])
+    def test_tighten_is_a_usage_error(self, capsys, tighten):
+        # the dual has no repair to reserve budget for; the flag was once
+        # accepted and ignored
+        code, out, err = run_cli(
+            capsys, "dual", "--n", "10", "--seed", "4", "--c0", "2.0", "--tighten", tighten
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tighten" in err
+
 
 class TestExpectCommand:
     def test_runs_and_reports(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ from costarb import (
     run_expectation_check,
     run_oracle_suite,
 )
+from costarb import arborescence as arb_mod
 from costarb import dual
 from costarb import instance as instance_module
 from costarb.harness import derive_trial_seed, write_report
@@ -201,15 +203,28 @@ class TestOracleSuite:
         report = run_oracle_suite(10, [2], seed=9)
         assert report.passed, report.violations
 
-    def test_mutation_is_caught_with_seed(self):
-        report = run_oracle_suite(5, [4], seed=7, _corrupt_check="edmonds")
+    def test_mutation_is_caught_with_seed(self, monkeypatch):
+        def too_heavy(inst):
+            arb = edmonds(inst)
+            return dataclasses.replace(arb, weight=arb.weight + 0.5)
+
+        monkeypatch.setattr(arb_mod, "edmonds", too_heavy)
+        report = run_oracle_suite(5, [4], seed=7)
         assert not report.passed
         assert all(v["check"] == "edmonds" for v in report.violations)
         assert all("seed" in v for v in report.violations)
 
-    def test_gap_mutation_is_caught(self):
-        report = run_oracle_suite(5, [4], seed=7, _corrupt_check="gap")
+    def test_gap_mutation_is_caught(self, monkeypatch):
+        solve_mapping = dual.solve_mapping
+
+        def bound_too_low(*args, **kwargs):
+            sol = solve_mapping(*args, **kwargs)
+            return dataclasses.replace(sol, lower_bound=sol.lower_bound - 1.0)
+
+        monkeypatch.setattr(dual, "solve_mapping", bound_too_low)
+        report = run_oracle_suite(5, [4], seed=7)
         assert not report.passed
+        assert {v["check"] for v in report.violations} == {"gap-sandwich"}
 
     def test_rejects_big_n(self):
         with pytest.raises(ValueError):
