@@ -30,7 +30,6 @@ from .dual import (
     DualOptimum,
     Mapping,
     MappingSolution,
-    default_tighten,
     empirical_concentration,
     make_mapping,
     maximize_dual,
@@ -44,9 +43,7 @@ from .errors import (
     InfeasibleBudgetError,
     InstanceFormatError,
     LambdaRangeError,
-    RepairBudgetExceededError,
     SizeLimitError,
-    TightenTooLargeError,
 )
 from .harness import (
     BudgetSpec,

@@ -21,8 +21,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dual import Mapping, make_mapping, solve_mapping
-from .errors import InfeasibleBudgetError, RepairBudgetExceededError, SizeLimitError
+from .dual import _BRACKET_FACTOR, Mapping, _lambda_ceiling, make_mapping, solve_mapping
+from .errors import InfeasibleBudgetError, SizeLimitError
 from .instance import Instance
 
 _ORACLE_MAX_N = 7
@@ -121,10 +121,9 @@ def repair(
     becomes the root. Remaining cycles, largest component first, each free
     the analogous vertex and re-point it at the vertex in the already-rooted
     set minimising W + lambda*C among edges that keep the running cost within
-    c0. If no in-budget reconnection exists the cheapest-cost edge is used.
-    RepairBudgetExceededError, carrying the completed structure, is raised
-    only if that structure costs more than c0. Raises ValueError unless
-    0 <= lambda_star < inf.
+    c0. If no in-budget reconnection exists the cheapest-cost edge is used,
+    so the completed arborescence may cost more than c0; the caller checks.
+    Raises ValueError unless 0 <= lambda_star < inf.
     """
     if not 0.0 <= lambda_star < math.inf:
         raise ValueError(f"lambda_star must be nonnegative and finite, got {lambda_star}")
@@ -169,14 +168,7 @@ def repair(
         running_c += costs[v, u]
         rooted[dec.component_of == cid] = True
 
-    arb = Arborescence(root=root, parent=parent, weight=float(running_w), cost=float(running_c))
-    if arb.cost > c0:
-        raise RepairBudgetExceededError(
-            f"no reconnection kept cost within {c0:.6g} (reached {running_c:.6g}); "
-            "retry with a larger tighten",
-            best_effort=arb,
-        )
-    return arb
+    return Arborescence(root=root, parent=parent, weight=float(running_w), cost=float(running_c))
 
 
 def validate(arb: Arborescence, instance: Instance) -> tuple[bool, list]:
@@ -421,26 +413,72 @@ class PipelineResult:
     trace: dict = field(default_factory=dict)
 
 
-def solve_constrained_arborescence(
-    instance: Instance,
-    c0: float,
-    tighten: Optional[float] = None,
-) -> PipelineResult:
-    """Full pipeline: dual mapping solve -> cycle repair -> validation.
+def _lagrangian_arborescence(
+    instance: Instance, c0: float, lambda_star: float
+) -> tuple[Arborescence, int]:
+    """The feasible-side Lagrangian arborescence, and the Edmonds calls made.
 
-    The lower bound certifies the constrained-mapping optimum at the original
-    budget. The trace records the dual maximiser, how many dual evaluations
-    of each kind it took, its candidate columns per row, how many cycles
-    were broken and edges added, and how much of the tightening margin the
-    repair used.
+    The lambda=0 tree if it fits c0. Otherwise the upper end starts at
+    ``lambda_star`` (n log n for 0) and steps up by the dual's bracket factor, up to
+    its ceiling, while its tree is over budget; then the two ends' lines
+    W + lambda*(C - c0) are met as the dual's stage 3 meets its mappings'.
+    Raises InfeasibleBudgetError if the tree at the ceiling, the
+    cheapest-cost arborescence, is over budget.
     """
-    solution = solve_mapping(instance, c0, tighten)
+    n = instance.n
+    lo = edmonds(instance)
+    if lo.cost <= c0:
+        return lo, 1
+    lam_lo, lam_hi, ceiling = 0.0, lambda_star or n * math.log(n), _lambda_ceiling(n)
+    hi = edmonds(instance, lam_hi)
+    calls = 2
+    while hi.cost > c0:
+        if lam_hi == ceiling:
+            raise InfeasibleBudgetError(
+                f"cheapest arborescence costs {hi.cost:.6g} > budget {c0:.6g}"
+            )
+        lo, lam_lo, lam_hi = hi, lam_hi, min(lam_hi * _BRACKET_FACTOR, ceiling)
+        hi = edmonds(instance, lam_hi)
+        calls += 1
+    while True:
+        lam = (hi.weight - lo.weight) / (lo.cost - hi.cost)
+        if not lam_lo < lam < lam_hi:
+            return hi, calls
+        tree = edmonds(instance, lam)
+        calls += 1
+        if (tree.weight, tree.cost) in ((lo.weight, lo.cost), (hi.weight, hi.cost)):
+            return hi, calls
+        if tree.cost > c0:
+            lo, lam_lo = tree, lam
+        else:
+            hi, lam_hi = tree, lam
+
+
+def solve_constrained_arborescence(instance: Instance, c0: float) -> PipelineResult:
+    """Full pipeline: dual mapping solve at c0 -> cycle repair -> validation.
+
+    When the repaired arborescence costs more than c0, the feasible-side
+    Lagrangian arborescence of W + lambda*C, met from 0 and lambda*, is
+    returned instead. Raises InfeasibleBudgetError when no mapping fits c0,
+    or when the cheapest-cost arborescence does not.
+
+    The lower bound certifies the constrained-mapping optimum; it and
+    lambda* stay the mapping dual's when the fallback runs. The trace
+    records the dual maximiser, how many dual evaluations of each kind it
+    took, its candidate columns per row, how many cycles were broken and
+    edges added, how much more the arborescence costs than the mapping, and
+    the fallback's Edmonds calls (0 when the repair fit).
+    """
+    solution = solve_mapping(instance, c0)
     opt = solution.dual
     dec = decompose(solution.mapping)
     arb = repair(solution.mapping, instance, c0, opt.lambda_star, dec)
+    edmonds_calls = 0
+    if arb.cost > c0:
+        arb, edmonds_calls = _lagrangian_arborescence(instance, c0, opt.lambda_star)
     ok, diags = validate(arb, instance)
     if not ok:
-        raise AssertionError(f"repair produced an invalid arborescence: {diags}")
+        raise AssertionError(f"the pipeline produced an invalid arborescence: {diags}")
     trace = {
         "lambda_star": opt.lambda_star,
         "lower_bound": solution.lower_bound,
@@ -455,5 +493,6 @@ def solve_constrained_arborescence(
         "dual_candidate_evaluations": opt.candidate_evaluations,
         "dual_sample_evaluations": opt.sample_evaluations,
         "dual_candidate_width": opt.candidate_width,
+        "edmonds_calls": edmonds_calls,
     }
     return PipelineResult(arborescence=arb, lower_bound=solution.lower_bound, trace=trace)

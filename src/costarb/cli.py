@@ -12,12 +12,7 @@ import sys
 
 from . import arborescence as arb_mod
 from . import asymptotics, dual, harness, instance as inst_mod
-from .errors import (
-    AmbiguousRegimeError,
-    CostarbError,
-    InfeasibleBudgetError,
-    RepairBudgetExceededError,
-)
+from .errors import AmbiguousRegimeError, CostarbError, InfeasibleBudgetError
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -78,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--in", dest="infile", help="load instance instead of generating")
         _add_budget_flags(p)
-        if name == "solve":  # the dual alone has no repair to leave room for
-            p.add_argument("--tighten", type=float, default=None)
         p.add_argument("--out")
 
     p = sub.add_parser("predict", help="closed-form regime prediction")
@@ -102,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_budget_flags(p)
-    p.add_argument("--tighten", type=float, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="path prefix; writes <out>.json and <out>.csv")
     p.add_argument("--format", choices=["json", "csv"], default="json",
@@ -130,7 +122,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     inst = _load_or_generate(args)
     c0 = _budget_spec(args).resolve(inst.n)
-    result = arb_mod.solve_constrained_arborescence(inst, c0, tighten=args.tighten)
+    result = arb_mod.solve_constrained_arborescence(inst, c0)
     _emit(result.arborescence.to_dict(trace=result.trace), args.out)
     return EXIT_OK
 
@@ -167,7 +159,7 @@ def _cmd_expect(args) -> int:
 def _cmd_experiment(args) -> int:
     config = harness.ExperimentConfig(
         n=args.n, s=args.s, trials=args.trials, base_seed=args.seed,
-        budget=_budget_spec(args), tighten=args.tighten, parallelism=args.workers,
+        budget=_budget_spec(args), parallelism=args.workers,
     )
     report = harness.run_experiment(config)
     if args.out:
@@ -206,7 +198,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (InfeasibleBudgetError, RepairBudgetExceededError) as exc:
+    except InfeasibleBudgetError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except AmbiguousRegimeError as exc:

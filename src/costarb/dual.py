@@ -61,7 +61,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InfeasibleBudgetError, TightenTooLargeError
+from .errors import InfeasibleBudgetError
 from .instance import _ROW_BLOCK, Instance, _in_row_chunks, _row_minima
 
 _LAMBDA_OVERFLOW_GUARD = 1e30
@@ -127,7 +127,7 @@ class DualOptimum:
 @dataclass(frozen=True, eq=False)
 class MappingSolution:
     """Feasible mapping plus the dual certificate bounding the optimum below,
-    and the dual optimum at the tightened budget it was chosen from."""
+    and the dual optimum it was chosen from."""
 
     mapping: Mapping
     lower_bound: float
@@ -476,60 +476,24 @@ def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
     )
 
 
-def default_tighten(instance: Instance, c0: float) -> float:
-    """Budget margin reserved for the later mapping->arborescence repair.
-
-    Constant-order budgets shrink by n**-1/2; growing budgets by
-    min(1, c0 * n**-1/4 * log n). The margin is additionally capped at half
-    the gap to the cheapest possible mapping so tightening alone can never
-    fabricate infeasibility.
-    """
-    n = instance.n
-    log_n = math.log(n)
-    if c0 <= log_n:
-        rule = min(n ** -0.5, c0 / 2.0)
-    else:
-        rule = min(1.0, c0 * n ** -0.25 * log_n)
-    headroom = c0 - min_cost_sum(instance)
-    return max(0.0, min(rule, headroom / 2.0))
-
-
-def solve_mapping(
-    instance: Instance, c0: float, tighten: Optional[float] = None
-) -> MappingSolution:
+def solve_mapping(instance: Instance, c0: float) -> MappingSolution:
     """Near-optimal feasible mapping with a weak-duality certificate.
 
-    Maximises the dual at the tightened budget c0 - tighten, then returns the
-    lightest among the feasible-side mapping, the infeasible-side mapping if
-    it happens to fit, and its best single-row swap to a cheapest-cost edge.
-    ``tighten=None`` applies default_tighten; the reported lower bound always
-    refers to the original budget. Raises ValueError unless 0 < c0 < inf and
-    tighten >= 0.
+    Maximises the dual at c0, then returns the lighter of the feasible-side
+    mapping and the infeasible-side mapping's best single-row swap to a
+    cheapest-cost edge. Raises ValueError unless 0 < c0 < inf.
     """
     _check_budget(c0)
     rows = np.arange(instance.n)
-    # Each row's cheapest-cost edge, which the instance holds: the
-    # tightening headroom, the dual's feasibility check and the one-row swap
-    # below all read them.
+    # Each row's cheapest-cost edge, which the instance holds: the dual's
+    # feasibility check and the one-row swap below read them.
     cheap_cols, cheap_costs = instance.cheapest_costs
-    if tighten is None:
-        tighten = default_tighten(instance, c0)
-    if not tighten >= 0:
-        raise ValueError(f"tighten must be nonnegative, got {tighten}")
-    c0_tight = c0 - tighten
-    if c0_tight <= 0:
-        raise TightenTooLargeError(
-            f"tighten {tighten:.6g} leaves non-positive working budget from c0={c0:.6g}"
-        )
-
-    opt = maximize_dual(instance, c0_tight)
-
-    candidates = [opt.mapping_high]
-    if opt.mapping_low.cost <= c0:
-        candidates.append(opt.mapping_low)
+    opt = maximize_dual(instance, c0)
 
     # One-row swap: move a single row of the infeasible-side mapping to its
     # cheapest-cost edge, keeping the rest intact; at most one row differs.
+    # (mapping_low fits c0 only as the lambda=0 argmin, which is mapping_high.)
+    best = opt.mapping_high
     f_low = opt.mapping_low.f
     cost_delta = cheap_costs - instance.costs[rows, f_low]
     weight_delta = instance.weights[rows, cheap_cols] - instance.weights[rows, f_low]
@@ -540,16 +504,14 @@ def solve_mapping(
         i = int(np.argmin(new_weights))
         f_swap = f_low.copy()
         f_swap[i] = cheap_cols[i]
-        candidates.append(make_mapping(instance, f_swap))
+        swapped = make_mapping(instance, f_swap)
+        if swapped.weight < best.weight:
+            best = swapped
 
-    best = min(candidates, key=lambda m: m.weight)
-    # Dual value against the ORIGINAL budget: any multiplier certifies a
-    # lower bound, and the inner minimum at lambda* is already known.
-    lower_bound = _line(opt.mapping_high, opt.lambda_star, c0)
     w_max = float(instance.weights[rows, best.f].max())
     c_max = float(instance.costs[rows, best.f].max())
     return MappingSolution(
-        mapping=best, lower_bound=lower_bound, w_max_used=w_max, c_max_used=c_max, dual=opt
+        mapping=best, lower_bound=opt.phi_star, w_max_used=w_max, c_max_used=c_max, dual=opt
     )
 
 

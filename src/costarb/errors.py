@@ -6,24 +6,8 @@ class CostarbError(Exception):
 
 
 class InfeasibleBudgetError(CostarbError):
-    """Even the cheapest-cost assignment exceeds the budget; no solution exists."""
-
-
-class TightenTooLargeError(CostarbError):
-    """Budget tightening left a non-positive working budget."""
-
-
-class RepairBudgetExceededError(CostarbError):
-    """Cycle repair could not reconnect within the budget.
-
-    ``best_effort`` carries the completed (over-budget) arborescence so the
-    caller can inspect how far the repair got before retrying with a larger
-    tightening margin.
-    """
-
-    def __init__(self, message, best_effort=None):
-        super().__init__(message)
-        self.best_effort = best_effort
+    """No solution fits the budget: the cheapest-cost mapping, or the
+    cheapest-cost arborescence, exceeds it."""
 
 
 class SizeLimitError(CostarbError):

@@ -3,7 +3,7 @@
 Trials are independent — each derives its own seed from the base seed and
 its index — so they can run across a worker pool; rows are always merged in
 trial order, making reports byte-identical at any parallelism level.
-Reports go out as JSON (schema version 2) plus a CSV of the per-trial rows.
+Reports go out as JSON (schema version 3) plus a CSV of the per-trial rows.
 """
 
 from __future__ import annotations
@@ -20,19 +20,14 @@ import numpy as np
 
 from . import arborescence as arb_mod
 from . import asymptotics, dual, instance as inst_mod
-from .errors import (
-    AmbiguousRegimeError,
-    CostarbError,
-    InfeasibleBudgetError,
-    RepairBudgetExceededError,
-)
+from .errors import AmbiguousRegimeError, CostarbError, InfeasibleBudgetError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _ROW_FIELDS = [
     "trial", "seed", "lambda_star", "lower_bound", "w_map", "c_map",
     "w_arb", "c_arb", "cycles", "edges_added", "w_max_used", "c_max_used",
-    "failure",
+    "edmonds_calls", "failure",
 ]
 
 
@@ -63,7 +58,6 @@ class ExperimentConfig:
     trials: int
     base_seed: int
     budget: BudgetSpec
-    tighten: Optional[float] = None
     parallelism: int = 1
 
     def validate(self) -> float:
@@ -78,8 +72,6 @@ class ExperimentConfig:
         c0 = self.budget.resolve(self.n)
         if not 0 < c0 < math.inf:
             raise ValueError(f"budget must resolve to a positive finite value, got {c0}")
-        if self.tighten is not None and not 0 <= self.tighten < c0:
-            raise ValueError(f"tighten {self.tighten} must lie in [0, c0={c0})")
         return c0
 
 
@@ -97,18 +89,15 @@ def derive_trial_seed(base_seed: int, trial: int) -> int:
 
 
 def _run_trial(args: tuple) -> dict:
-    trial, n, s, seed, c0, tighten = args
+    trial, n, s, seed, c0 = args
     inst = inst_mod.generate(n, s, seed)
     row = dict.fromkeys(_ROW_FIELDS)
     row["trial"] = trial
     row["seed"] = seed
     try:
-        result = arb_mod.solve_constrained_arborescence(inst, c0, tighten=tighten)
+        result = arb_mod.solve_constrained_arborescence(inst, c0)
     except InfeasibleBudgetError:
         row["failure"] = "infeasible"
-        return row
-    except RepairBudgetExceededError:
-        row["failure"] = "repair-budget-exceeded"
         return row
     tr = result.trace
     row.update(
@@ -122,6 +111,7 @@ def _run_trial(args: tuple) -> dict:
         edges_added=tr["edges_added"],
         w_max_used=tr["w_max_used"],
         c_max_used=tr["c_max_used"],
+        edmonds_calls=tr["edmonds_calls"],
     )
     return row
 
@@ -176,14 +166,13 @@ def _aggregate(values: list) -> Optional[dict]:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the configured ensemble and compare aggregates to the prediction.
 
-    Per-trial failures (infeasible budget, repair breach) are recorded as
-    tagged rows and never abort the ensemble. The report is a pure function
-    of (n, s, trials, base_seed, budget, tighten): parallelism only changes
-    wall time.
+    Infeasible trials are recorded as tagged rows and never abort the
+    ensemble. The report is a pure function of (n, s, trials, base_seed,
+    budget): parallelism only changes wall time.
     """
     c0 = config.validate()
     work = [
-        (t, config.n, config.s, derive_trial_seed(config.base_seed, t), c0, config.tighten)
+        (t, config.n, config.s, derive_trial_seed(config.base_seed, t), c0)
         for t in range(config.trials)
     ]
     if config.parallelism > 1 and config.trials > 1:
@@ -233,7 +222,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "trials": config.trials,
         "base_seed": config.base_seed,
         "budget": {"kind": config.budget.kind, "value": config.budget.value},
-        "tighten": config.tighten,
     }
     return ExperimentReport(
         config=config_dict, c0=c0, prediction=prediction,
@@ -355,45 +343,28 @@ def run_oracle_suite(count: int, n_range, seed: int) -> OracleSuiteReport:
         if abs(unconstrained.weight - oracle_free.weight) > 1e-9:
             record("edmonds", f"{unconstrained.weight!r} != oracle {oracle_free.weight!r}")
 
-        # One dual solve serves checks (b) and (d); an error it raises is
-        # recorded by each of them as their own calls once did.
-        try:
-            solved = dual.solve_mapping(inst, c0, tighten=0.0)
-        except CostarbError as exc:
-            solved = exc
-
-        checks += 1
-        try:
-            if isinstance(solved, CostarbError):
-                raise solved
-            exact_map = arb_mod.exact_mapping_oracle(inst, c0)
-            phi_star = solved.dual.phi_star
-            if phi_star > exact_map.weight + 1e-9:
-                record("weak-duality", f"phi* {phi_star!r} > IP {exact_map.weight!r}")
-        except InfeasibleBudgetError as exc:
-            record("weak-duality", f"unexpected infeasibility: {exc}")
-
-        checks += 1
+        # The pipeline's one dual solve serves checks (b) and (d) too; an
+        # error it raises is recorded by (b), (c) and (d) each.
+        checks += 3
         try:
             result = arb_mod.solve_constrained_arborescence(inst, c0)
-            ok, diags = arb_mod.validate(result.arborescence, inst)
-            if not ok or result.arborescence.cost > c0:
-                record("pipeline", f"valid={ok} diags={diags} cost={result.arborescence.cost!r}")
         except CostarbError as exc:
-            record("pipeline", f"{type(exc).__name__}: {exc}")
+            for name in ("weak-duality", "pipeline", "gap-sandwich"):
+                record(name, f"{type(exc).__name__}: {exc}")
+            continue
+        tr = result.trace
 
-        checks += 1
-        try:
-            if isinstance(solved, CostarbError):
-                raise solved
-            bound = solved.lower_bound + solved.w_max_used + 1e-9
-            if solved.mapping.weight > bound:
-                record(
-                    "gap-sandwich",
-                    f"weight {solved.mapping.weight!r} > phi*+w_max {bound!r}",
-                )
-        except CostarbError as exc:
-            record("gap-sandwich", f"{type(exc).__name__}: {exc}")
+        exact_map = arb_mod.exact_mapping_oracle(inst, c0)
+        if tr["lower_bound"] > exact_map.weight + 1e-9:
+            record("weak-duality", f"phi* {tr['lower_bound']!r} > IP {exact_map.weight!r}")
+
+        ok, diags = arb_mod.validate(result.arborescence, inst)
+        if not ok or result.arborescence.cost > c0:
+            record("pipeline", f"valid={ok} diags={diags} cost={result.arborescence.cost!r}")
+
+        bound = tr["lower_bound"] + tr["w_max_used"] + 1e-9
+        if tr["mapping_weight"] > bound:
+            record("gap-sandwich", f"weight {tr['mapping_weight']!r} > phi*+w_max {bound!r}")
 
     return OracleSuiteReport(
         instances=count, checks=checks, violations=violations,

@@ -24,6 +24,17 @@ def worked():
     return from_arrays(WORKED_W, WORKED_C)
 
 
+@pytest.fixture
+def two_cycles():
+    """Two cheap 2-cycles, {0, 1} and {2, 3}: the mapping [1, 0, 3, 2] costs
+    0.04, but every arborescence needs an edge between them, which costs 50."""
+    w = np.full((4, 4), 0.5)
+    c = np.full((4, 4), 50.0)
+    for a, b in ((0, 1), (2, 3)):
+        c[a, b] = c[b, a] = 0.01
+    return from_arrays(w, c)
+
+
 def all_mappings(n):
     """Every fixed-point-free assignment on n vertices, lexicographic order."""
     import itertools

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from costarb import load
+from costarb import load, save
 from costarb.cli import main
 
 
@@ -65,6 +65,18 @@ class TestUsageErrors:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("command", ["solve", "experiment"])
+    @pytest.mark.parametrize("tighten", ["7.5", "-3"])
+    def test_tighten_is_a_usage_error(self, capsys, command, tighten):
+        # the pipeline spends the whole budget: no command takes a margin
+        # (TestDualCommand checks dual)
+        code, out, err = run_cli(
+            capsys, command, "--n", "10", "--seed", "4", "--c0", "2.0", "--tighten", tighten
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tighten" in err
+
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_multiplier(self, capsys, lam):
         code, out, err = run_cli(capsys, "expect", "--n", "100", "--lam", lam, "--reps", "100")
@@ -89,6 +101,15 @@ class TestSolve:
             capsys, "solve", "--n", "20", "--seed", "1", "--c0", "0.1"
         )
         assert code == 1
+        assert "infeasible" in err
+
+    def test_no_arborescence_fits_exit_1(self, tmp_path, capsys, two_cycles):
+        # the two cycles fit the budget as a mapping; no arborescence does
+        path = tmp_path / "two-cycles.carb"
+        save(two_cycles, path)
+        code, out, err = run_cli(capsys, "solve", "--in", str(path), "--c0", "1.04")
+        assert code == 1
+        assert out == ""
         assert "infeasible" in err
 
 
@@ -161,7 +182,7 @@ class TestExperimentCommand:
         )
         assert code == 0
         payload = json.loads((tmp_path / "exp.json").read_text())
-        assert payload["schema"] == 2 and len(payload["rows"]) == 3
+        assert payload["schema"] == 3 and len(payload["rows"]) == 3
         assert (tmp_path / "exp.csv").read_text().count("\n") == 4
 
     def test_csv_to_stdout(self, capsys):

@@ -15,7 +15,6 @@ from costarb import (
     ExperimentConfig,
     InfeasibleBudgetError,
     Mapping,
-    TightenTooLargeError,
     empirical_concentration,
     exact_arborescence_oracle,
     exact_mapping_oracle,
@@ -161,14 +160,14 @@ class TestConcavityAndMonotonicity:
 
 class TestSolveMapping:
     def test_worked_example_matches_exact_optimum(self, worked):
-        sol = solve_mapping(worked, 1.4, tighten=0.0)
+        sol = solve_mapping(worked, 1.4)
         assert sol.mapping.weight == pytest.approx(1.10)
         assert sol.mapping.cost <= 1.4
         exact = exact_mapping_oracle(worked, 1.4)
         assert exact.weight == pytest.approx(sol.mapping.weight)
 
     def test_slack_budget_returns_unconstrained_minimum(self, worked):
-        sol = solve_mapping(worked, 1.95, tighten=0.0)
+        sol = solve_mapping(worked, 1.95)
         assert sol.mapping.weight == pytest.approx(0.70)
 
     def test_weak_duality_and_gap_envelope_small_n(self):
@@ -176,7 +175,7 @@ class TestSolveMapping:
             inst = generate(6, 1.0, seed)
             low = min_cost_sum(inst)
             for c0 in (low * 1.3, low * 2.0, 5.0):
-                sol = solve_mapping(inst, c0, tighten=0.0)
+                sol = solve_mapping(inst, c0)
                 exact = exact_mapping_oracle(inst, c0)
                 assert sol.mapping.cost <= c0
                 assert sol.mapping.weight >= exact.weight - 1e-9
@@ -189,24 +188,13 @@ class TestSolveMapping:
         for seed in range(40):
             inst = generate(25, 1.0, seed + 100)
             c0 = 4.0
-            sol = solve_mapping(inst, c0, tighten=0.0)
+            sol = solve_mapping(inst, c0)
             opt = maximize_dual(inst, c0)
             assert sol.mapping.weight <= opt.phi_star + sol.w_max_used + 1e-9
 
-    def test_tighten_too_large(self, worked):
-        with pytest.raises(TightenTooLargeError):
-            solve_mapping(worked, 1.4, tighten=1.4)
-
     def test_infeasible_propagates(self, worked):
         with pytest.raises(InfeasibleBudgetError):
-            solve_mapping(worked, 0.6, tighten=0.0)
-
-    def test_auto_tighten_never_fabricates_infeasibility(self):
-        for seed in range(20):
-            inst = generate(5, 1.0, seed)
-            c0 = min_cost_sum(inst) * 1.05
-            sol = solve_mapping(inst, c0)  # default tighten
-            assert sol.mapping.cost <= c0
+            solve_mapping(worked, 0.6)
 
 
 class TestNonFiniteInputs:
@@ -219,7 +207,6 @@ class TestNonFiniteInputs:
             lambda: phi(worked, 0.5, c0),
             lambda: maximize_dual(worked, c0),
             lambda: solve_mapping(worked, c0),
-            lambda: solve_mapping(worked, c0, tighten=0.0),
             lambda: solve_constrained_arborescence(worked, c0),
         ):
             with pytest.raises(ValueError, match="c0"):
@@ -229,11 +216,6 @@ class TestNonFiniteInputs:
     def test_multiplier_refused(self, worked, lam):
         with pytest.raises(ValueError, match="lambda"):
             phi(worked, lam, 1.4)
-
-    @pytest.mark.parametrize("tighten", [math.nan, -0.1])
-    def test_tighten_refused(self, worked, tighten):
-        with pytest.raises(ValueError, match="tighten"):
-            solve_mapping(worked, 1.4, tighten=tighten)
 
     def test_oracles_accept_an_unbounded_budget(self, worked):
         assert exact_mapping_oracle(worked, math.inf).weight == pytest.approx(0.70)
@@ -246,7 +228,7 @@ class TestExhaustiveDualChecks:
     (sums of eighths are exact, so that budget is met with equality)."""
 
     def check(self, inst, c0):
-        sol = solve_mapping(inst, c0, tighten=0.0)
+        sol = solve_mapping(inst, c0)
         exact = exact_mapping_oracle(inst, c0)
         assert sol.dual.phi_star <= exact.weight + 1e-9, c0
         assert sol.mapping.weight <= sol.lower_bound + sol.w_max_used + 1e-9, c0
@@ -699,7 +681,7 @@ class TestDualCounters:
     def test_pipeline_trace_carries_counters(self):
         inst = generate(600, 1.0, 3)
         c0 = math.sqrt(600)
-        trace = solve_constrained_arborescence(inst, c0, tighten=0.0).trace
+        trace = solve_constrained_arborescence(inst, c0).trace
         opt = maximize_dual(inst, c0)
         assert trace["dual_full_evaluations"] == opt.full_evaluations
         assert trace["dual_candidate_evaluations"] == opt.candidate_evaluations
