@@ -31,9 +31,10 @@ scans the whole n x n matrix:
    1.5*lam^ and a at lam^/1.5. Without such an estimate b starts at
    n log n and a at b/8. One pass evaluates both ends: each block of rows
    is scanned at b and then, still in cache, at a. An end with the wrong
-   sign steps outward by a factor of 8, one end per pass. The estimate
-   only picks where the full passes look: every bracket is confirmed by
-   them.
+   sign steps outward by a factor of 8, one pass per step; a step up
+   scans the old b again as the new a in the pass that evaluates the new
+   b. The estimate only picks where the full passes look: every bracket
+   is confirmed by them.
 2. Each row keeps as candidates the columns j with fl(W + a*C) <= its
    minimum at b, collected in the pass at a once the block's minima at b
    are known. Rounding is monotone, so every argmin at any lam in
@@ -175,8 +176,8 @@ class _PhiEvaluator:
         self.candidate_width = 0
         self.sample_evaluations = 0
 
-    def _evaluation(self, lam: float, f, w_chosen, c_chosen) -> DualEvaluation:
-        m = Mapping(f=f, weight=float(w_chosen.sum()), cost=float(c_chosen.sum()))
+    def _evaluation(self, lam: float, f, weight, cost) -> DualEvaluation:
+        m = Mapping(f=f, weight=float(weight), cost=float(cost))
         return DualEvaluation(
             lam=lam, phi=_line(m, lam, self.c0), argmin=m, subgradient=m.cost - self.c0
         )
@@ -190,22 +191,24 @@ class _PhiEvaluator:
         n = inst.n
         buf = np.empty((min(t1 - t0, _ROW_BLOCK), n))
         found = []
-        for b0 in range(t0, t1, _ROW_BLOCK):
-            b1 = min(b0 + _ROW_BLOCK, t1)
-            # a basic slice: a view of the instance's rows, not a copy
-            rows = slice(b0 * stride, (b1 - 1) * stride + 1, stride)
-            costs, weights = inst.costs[rows], inst.weights[rows]
-            scores = buf[: b1 - b0]
-            for k, lam in enumerate(lams):
-                with np.errstate(invalid="ignore"):  # lam=0 turns the inf diagonal into nan
+        # lam=0 turns the inf diagonal into nan. The error state is the
+        # calling thread's own, so it is set here, on the thread that scans.
+        with np.errstate(invalid="ignore"):
+            for b0 in range(t0, t1, _ROW_BLOCK):
+                b1 = min(b0 + _ROW_BLOCK, t1)
+                # a basic slice: a view of the instance's rows, not a copy
+                rows = slice(b0 * stride, (b1 - 1) * stride + 1, stride)
+                costs, weights = inst.costs[rows], inst.weights[rows]
+                scores = buf[: b1 - b0]
+                for k, lam in enumerate(lams):
                     np.multiply(costs, lam, out=scores)
-                scores += weights
-                # entries (t, (b0 + t)*stride): row t's own column
-                scores.reshape(-1)[b0 * stride :: n + stride] = np.inf
-                _row_minima(scores, f[k, b0:b1], minima[k, b0:b1])
-            if minima_above is not None:
-                mask = scores <= minima_above[b0:b1, None]
-                found.append(mask.reshape(-1).nonzero()[0] + b0 * n)
+                    scores += weights
+                    # entries (t, (b0 + t)*stride): row t's own column
+                    scores.reshape(-1)[b0 * stride :: n + stride] = np.inf
+                    _row_minima(scores, f[k, b0:b1], minima[k, b0:b1])
+                if minima_above is not None:
+                    mask = scores <= minima_above[b0:b1, None]
+                    found.append(mask.reshape(-1).nonzero()[0] + b0 * n)
         return found
 
     def _pass(self, lams, minima_above):
@@ -227,9 +230,11 @@ class _PhiEvaluator:
         )
         self.full_evaluations += len(lams)
         found = [block for chunk in chunks for block in chunk]
+        # each lam's row of the gathered edges sums as a 1-d array would
+        weights = inst.weights[rows, f].sum(axis=1)
+        costs = inst.costs[rows, f].sum(axis=1)
         evaluations = [
-            self._evaluation(lam, f[k], inst.weights[rows, f[k]], inst.costs[rows, f[k]])
-            for k, lam in enumerate(lams)
+            self._evaluation(lam, f[k], weights[k], costs[k]) for k, lam in enumerate(lams)
         ]
         return evaluations, minima, (np.concatenate(found) if found else None)
 
@@ -263,7 +268,9 @@ class _PhiEvaluator:
         off the diagonal, so it is the full evaluation's bit for bit."""
         inst, rows = self.instance, self.rows
         f = inst.cheapest_weights[0][rows]
-        return self._evaluation(0.0, f, inst.cheapest_weights[1][rows], inst.costs[rows, f])
+        return self._evaluation(
+            0.0, f, inst.cheapest_weights[1][rows].sum(), inst.costs[rows, f].sum()
+        )
 
     def keep_candidates(self, found: np.ndarray) -> None:
         """Use the candidates ``full`` collected as each row's columns.
@@ -295,7 +302,8 @@ class _PhiEvaluator:
         chosen = self._cand_buf.argmin(axis=1) + self._cand_offsets
         self.candidate_evaluations += 1
         return self._evaluation(
-            lam, self._cand_cols.take(chosen), self._cand_w.take(chosen), self._cand_c.take(chosen)
+            lam, self._cand_cols.take(chosen),
+            self._cand_w.take(chosen).sum(), self._cand_c.take(chosen).sum(),
         )
 
 
@@ -412,13 +420,14 @@ def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
         else:
             e_hi, minima_b, _ = evaluate.full(b)
         if e_hi.subgradient > 0:
-            found = None
+            # each step up re-scans the old b as a, collecting the
+            # candidates for [a, b] in the pass that evaluates the new b
             ceiling = _lambda_ceiling(n)
             while e_hi.subgradient > 0:
                 if b == ceiling:
                     raise ArithmeticError("subgradient never changed sign; lambda overflow")
-                e_lo, b = e_hi, min(b * _BRACKET_FACTOR, ceiling)
-                e_hi, minima_b, _ = evaluate.full(b)
+                a, b = b, min(b * _BRACKET_FACTOR, ceiling)
+                e_hi, minima_b, e_lo, _, found = evaluate.bracket(a, b)
         else:
             while e_mid is not None:
                 if e_mid.subgradient > 0:
@@ -431,8 +440,8 @@ def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
                     e_mid, minima_mid, found = evaluate.full(below, minima_b)
 
         # 2. Every argmin at any lam in [a, b] is among the candidates. A
-        # bracket found stepping upward, or at the floor, takes one more
-        # pass at a to collect them.
+        # bracket found at the floor takes one more pass at a to collect
+        # them.
         if found is None:
             found = evaluate.full(e_lo.lam, minima_b)[2]
         evaluate.keep_candidates(found)
@@ -442,29 +451,30 @@ def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
         # that maximises phi, or it is a mapping strictly below both, which
         # replaces the end on its side. Each step narrows (lo, hi).
         weights, costs = instance.weights, instance.costs
-        while True:
-            low, high = e_lo.argmin, e_hi.argmin
-            # Summed over only the rows where the two differ, the totals'
-            # rounding does not swamp the differences.
-            d = np.flatnonzero(low.f != high.f)
-            rows = evaluate.rows[d]
-            dw = weights[rows, high.f[d]] - weights[rows, low.f[d]]
-            dc = costs[rows, low.f[d]] - costs[rows, high.f[d]]
-            with np.errstate(divide="ignore", invalid="ignore"):
+        # parallel lines meet at inf or nan, which the clamp below handles
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while True:
+                low, high = e_lo.argmin, e_hi.argmin
+                # Summed over only the rows where the two differ, the totals'
+                # rounding does not swamp the differences.
+                d = np.flatnonzero(low.f != high.f)
+                rows, f_low, f_high = evaluate.rows[d], low.f[d], high.f[d]
+                dw = weights[rows, f_high] - weights[rows, f_low]
+                dc = costs[rows, f_low] - costs[rows, f_high]
                 lam = float(dw.sum() / dc.sum())
-            if not e_lo.lam < lam < e_hi.lam:
-                # rounding: clamp into [lo, hi], taking hi for nan
-                lam = max(e_lo.lam, min(e_hi.lam, lam))
-                break
-            e = evaluate.on_candidates(lam)
-            if (e.argmin.weight, e.argmin.cost) in (
-                (low.weight, low.cost), (high.weight, high.cost)
-            ):
-                break
-            if e.subgradient > 0:
-                e_lo = e
-            else:
-                e_hi = e
+                if not e_lo.lam < lam < e_hi.lam:
+                    # rounding: clamp into [lo, hi], taking hi for nan
+                    lam = max(e_lo.lam, min(e_hi.lam, lam))
+                    break
+                e = evaluate.on_candidates(lam)
+                if (e.argmin.weight, e.argmin.cost) in (
+                    (low.weight, low.cost), (high.weight, high.cost)
+                ):
+                    break
+                if e.subgradient > 0:
+                    e_lo = e
+                else:
+                    e_hi = e
 
     return DualOptimum(
         lambda_star=lam, phi_star=_line(e_hi.argmin, lam, c0),

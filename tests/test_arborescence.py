@@ -492,6 +492,34 @@ def _reference_arborescence_oracle(instance, c0: float) -> Arborescence:
     return Arborescence(root=root, parent=parent, weight=weight, cost=cost)
 
 
+# Reference: exact_mapping_oracle as it was before it read its choice
+# columns from a per-n table. Kept verbatim apart from the names and the
+# size limit, which is the shipped one.
+def _reference_enumerate_choice_sums(values: np.ndarray, choices: list) -> np.ndarray:
+    """Total over the cartesian product of per-row choices, in lex order."""
+    totals = np.zeros(1)
+    for i, cols in enumerate(choices):
+        totals = (totals[:, None] + values[i, cols][None, :]).ravel()
+    return totals
+
+
+def _reference_mapping_oracle(instance, c0: float):
+    """Global constrained-mapping optimum by enumerating all (n-1)^n maps."""
+    n = instance.n
+    if n > 7:
+        raise SizeLimitError(f"mapping oracle capped at n=7, got {n}")
+    choices = [[j for j in range(n) if j != i] for i in range(n)]
+    weights = _reference_enumerate_choice_sums(instance.weights, choices)
+    costs = _reference_enumerate_choice_sums(instance.costs, choices)
+    feasible = costs <= c0
+    if not feasible.any():
+        raise InfeasibleBudgetError(f"no mapping fits budget {c0:.6g}")
+    best = int(np.argmin(np.where(feasible, weights, np.inf)))
+    # digit r of row i is its r-th out-neighbour: r, or r + 1 from r = i on
+    r = np.array(np.unravel_index(best, (n - 1,) * n))
+    return make_mapping(instance, r + (r >= np.arange(n)))
+
+
 # Reference: the recursive Edmonds that contracted one cycle per level on
 # rebuilt copies of the score matrix. Kept verbatim apart from the names.
 def _reference_min_out_tree(score: np.ndarray, root: int) -> np.ndarray:
@@ -601,8 +629,16 @@ def _arborescence_or_error(oracle, inst, c0):
         return type(exc)
 
 
+def _mapping_or_error(oracle, inst, c0):
+    try:
+        m = oracle(inst, c0)
+    except InfeasibleBudgetError as exc:
+        return type(exc)
+    return m.f.dtype, m.f.tolist(), m.weight.hex(), m.cost.hex()
+
+
 class TestEqualsTheOldCode:
-    """The cycle search, the arborescence oracle and Edmonds give what the
+    """The cycle search, both exhaustive oracles and Edmonds give what the
     code they replaced gave, bit for bit (Edmonds on tie-free input)."""
 
     def test_cycle_search_is_the_colour_walk(self):
@@ -658,6 +694,43 @@ class TestEqualsTheOldCode:
             with pytest.raises(InfeasibleBudgetError):
                 exact_arborescence_oracle(inst, np.nextafter(edge, 0.0))
 
+    @pytest.mark.parametrize("s", [1.0, 0.5])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_mapping_oracle_on_random_instances(self, n, s):
+        for seed in range(8 if n < 7 else 2):
+            inst = generate(n, s, seed)
+            edge = min_cost_sum(inst)
+            for c0 in (math.inf, 0.5 * n, 0.3 * n, edge, np.nextafter(edge, 0.0)):
+                assert _mapping_or_error(exact_mapping_oracle, inst, c0) == (
+                    _mapping_or_error(_reference_mapping_oracle, inst, c0)
+                ), (n, s, seed, c0)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_mapping_oracle_on_a_grid_of_eighths(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(12):
+            inst = from_arrays(rng.integers(0, 9, (n, n)) / 8, rng.integers(0, 9, (n, n)) / 8)
+            edge = min_cost_sum(inst)
+            for c0 in (math.inf, 0.5 * n, 0.3 * n, edge, np.nextafter(edge, 0.0)):
+                assert _mapping_or_error(exact_mapping_oracle, inst, c0) == (
+                    _mapping_or_error(_reference_mapping_oracle, inst, c0)
+                ), (n, c0)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_oracles_on_signed_zeros(self, n):
+        # -0.0 is inside the model; sums from 0.0 turn it into +0.0
+        rng = np.random.default_rng(400 + n)
+        for _ in range(6):
+            w, c = np.where(rng.random((2, n, n)) < 0.5, -0.0, rng.integers(1, 9, (2, n, n)) / 8)
+            inst = from_arrays(w, c)
+            for c0 in (math.inf, 0.3 * n, 0.0):
+                assert _mapping_or_error(exact_mapping_oracle, inst, c0) == (
+                    _mapping_or_error(_reference_mapping_oracle, inst, c0)
+                ), (n, c0)
+                assert _arborescence_or_error(exact_arborescence_oracle, inst, c0) == (
+                    _arborescence_or_error(_reference_arborescence_oracle, inst, c0)
+                ), (n, c0)
+
 
     @pytest.mark.parametrize("lam", [0.0, 0.7])
     @pytest.mark.parametrize("n", range(2, 9))
@@ -710,20 +783,25 @@ class TestArborescenceTable:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_invariants(self, n):
         table = arb_mod._arborescence_table(n)
-        assert len(table) == n
-        for root, parents in enumerate(table):
-            assert parents.shape == (n ** (n - 2), n)  # Cayley
-            assert parents.dtype == np.int64
-            assert not parents.flags.writeable
-            assert (parents[:, root] == -1).all()
+        per_root = n ** (n - 2)  # Cayley
+        assert table.shape == (n - 1, n * per_root)
+        assert table.dtype == np.int64
+        assert not table.flags.writeable
+        rows = np.arange(per_root)[:, None]
+        for root in range(n):
+            block = table[:, root * per_root : (root + 1) * per_root]
+            # row k holds the flat edge v*n + parent[v] of the k-th non-root v
+            non_root = [v for v in range(n) if v != root]
+            assert (block // n == np.asarray(non_root)[:, None]).all()
+            parents = np.full((per_root, n), root)
+            parents[:, non_root] = (block % n).T
             # a chase of n - 1 steps, with the root parked on itself
-            hop = np.where(np.arange(n) == root, root, parents)
-            reach = hop.copy()
-            rows = np.arange(len(hop))[:, None]
+            reach = parents.copy()
             for _ in range(n - 1):
-                reach = hop[rows, reach]
+                reach = parents[rows, reach]
             assert (reach == root).all()
             # strictly ascending digit strings, read as base-(n-1) numbers
+            parents[:, root] = -1
             digits = _choice_digits(parents, root)
             code = digits @ ((n - 1) ** np.arange(n - 2, -1, -1))
             assert (np.diff(code) > 0).all()

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -708,6 +709,28 @@ class TestDualCounters:
         full_at_64 = sum(lams for stride, lams in passes if stride == 64)
         assert 2 < full_at_64 < opt.sample_evaluations - 2
 
+    def test_a_step_up_collects_the_candidates_in_its_pass(self, monkeypatch):
+        # At c0=min_cost_sum lambda* is where the last row switches to its
+        # cheapest edge, far above the row sample's estimate, so b steps
+        # up. Each step's pass scans the old b again as a and collects the
+        # candidates there: no pass at a alone follows.
+        passes = []
+        shipped = dual_module._PhiEvaluator._pass
+
+        def spy(self, lams, minima_above):
+            if self.stride == 1:
+                passes.append(lams)
+            return shipped(self, lams, minima_above)
+
+        monkeypatch.setattr(dual_module._PhiEvaluator, "_pass", spy)
+        inst = generate(1000, 1.0, 1)
+        opt = maximize_dual(inst, min_cost_sum(inst))
+        assert len(passes) == 2 and all(len(lams) == 2 for lams in passes)
+        (b, _), (b_new, a) = passes
+        assert (a, b_new) == (b, b * dual_module._BRACKET_FACTOR)
+        assert opt.mapping_low.cost > min_cost_sum(inst) >= opt.mapping_high.cost
+        assert opt.full_evaluations == 4
+
 
 def _serial_full(evaluate, lam, minima_above=None):
     """Reference: ``_PhiEvaluator.full`` as it was before passes ran in row
@@ -796,6 +819,25 @@ class TestThreadedPasses:
                     assert minima.tobytes() == ref_b[3].tobytes() and found is None
         finally:
             sys.setswitchinterval(interval)
+
+    def test_a_threaded_pass_at_zero_warns_nothing(self, monkeypatch):
+        # lam=0 turns the inf diagonal into nan on every chunk's thread,
+        # and numpy's error state does not pass from the caller to them
+        monkeypatch.setattr(instance_module, "_cpu_count", lambda: 2)
+        inst = generate(2100, 1.0, 4)
+        assert 2100 * 2100 >= dual_module._THREADED_MIN_ENTRIES
+        scans = []
+        shipped = dual_module._PhiEvaluator._scan
+
+        def spy(self, *args):
+            scans.append(threading.current_thread() is threading.main_thread())
+            return shipped(self, *args)
+
+        monkeypatch.setattr(dual_module._PhiEvaluator, "_scan", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi(inst, 0.0, min_cost_sum(inst))
+        assert scans == [False, False]
 
     def test_dual_is_the_same_in_any_chunk_count(self, monkeypatch):
         inst = generate(2100, 1.0, 4)
