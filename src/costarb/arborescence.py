@@ -9,7 +9,8 @@ the root. Weights and costs are summed over those n-1 edges; under the
 i.i.d. edge model this orientation is distribution-equivalent to the
 conventional away-from-root one. Edmonds' algorithm gives the minimum
 arborescence of W + lam*C for any multiplier lam >= 0, contracting cycles in
-place on one dense score matrix.
+place on the rows of one dense score matrix: no column is touched, and ties
+break toward the smallest original column.
 """
 
 from __future__ import annotations
@@ -227,29 +228,35 @@ def validate(arb: Arborescence, instance: Instance) -> tuple[bool, list]:
     return (not diags), diags
 
 
-def _min_out_tree(score: np.ndarray, root: int) -> np.ndarray:
+def _min_out_tree(score: np.ndarray, root: int) -> list:
     """Minimum spanning out-edge tree: every v != root picks one out-edge
-    (v -> parent) and parent chains reach the root.
+    (v -> parent) and parent chains reach the root. Returns each vertex's
+    parent as a list, the root its own.
 
-    ``score`` has a +inf diagonal and root row, and is overwritten. Cycles
-    are contracted in place on it (Tarjan 1977, with the
-    Camerini-Fratta-Maffioli 1979 correction): a cycle's first vertex stands
-    for it, its row becomes each column's cheapest way out (score minus the
-    cycle edge dropped) and its column each row's cheapest way in, and the
-    other members close. A walk from each vertex follows the chosen
-    out-edges, memoising the vertices known to reach the root; a new cycle
-    can only run through the new supernode, so the walk goes on from there.
-    Each contraction pushes O(n) for the expansion, which unwinds the pushes
-    in reverse. Ties break toward the smallest column index.
+    ``score`` has a +inf diagonal and root row. Its rows are overwritten and
+    no column is touched. Cycles are contracted in place (Tarjan 1977, with
+    the Camerini-Fratta-Maffioli 1979 correction). A cycle's first vertex
+    stands for it. Its row becomes each column's cheapest way out: the
+    minimum over the members' rows, each minus the cycle edge its member
+    drops, with +inf at the columns the supernode holds. A row keeps the
+    original column it chose, and ``rep`` names the supernode that holds
+    each original vertex, so the columns need no merging. A walk from each
+    vertex follows the chosen out-edges, memoising the vertices known to
+    reach the root; a new cycle can only run through the new supernode, so
+    the walk goes on from there. Each contraction pushes, per column, the
+    first member that attains the column's way out, and the expansion
+    unwinds the pushes in reverse. Ties break toward the smallest original
+    column, and a supernode's out-edge toward the member first in the cycle.
     """
     m = score.shape[0]
-    alive = np.ones(m, dtype=bool)
-    in_cycle = np.zeros(m, dtype=bool)
-    reaches_root = np.zeros(m, dtype=bool)
+    choice = score.argmin(axis=1).tolist()
+    choice[root] = root
+    rep = np.arange(m)
+    held = {}  # the original vertices of each supernode made so far
+    alive = [True] * m
+    reaches_root = [False] * m
     reaches_root[root] = True
-    walked = np.full(m, -1)  # the start of the walk that last met the vertex
-    parent = np.argmin(score, axis=1)
-    parent[root] = root
+    walked = [-1] * m  # the start of the walk that last met the vertex
     pushes = []
     for start in range(m):
         path = []
@@ -258,37 +265,40 @@ def _min_out_tree(score: np.ndarray, root: int) -> np.ndarray:
             if walked[v] != start:
                 walked[v] = start
                 path.append(v)
-                v = parent[v]
+                v = rep[choice[v]]
                 continue
             # the walk met itself: contract the cycle into its first vertex
             i = path.index(v)
-            cycle = np.asarray(path[i:], dtype=np.int32)
+            cycle = path[i:]
             del path[i + 1:]
-            cycle_parent = parent[cycle]
-            out = score[cycle] - score[cycle, cycle_parent][:, None]
-            exits = cycle[np.argmin(out, axis=0)]
-            into = score[:, cycle]
-            entries = cycle[np.argmin(into, axis=1)]
-            pushes.append((v, cycle, cycle_parent, exits, entries))
-            alive[cycle[1:]] = False
-            score[v] = out.min(axis=0)
-            score[:, v] = into.min(axis=1)
-            score[v, v] = np.inf
-            in_cycle[cycle] = True
-            parent[in_cycle[parent]] = v
-            in_cycle[cycle] = False
-            parent[v] = np.argmin(np.where(alive, score[v], np.inf))
-            v = parent[v]
-        reaches_root[path] = True
+            cycle_choice = [choice[u] for u in cycle]
+            ways_out = np.empty((len(cycle), m))
+            for u, c, scores in zip(cycle, cycle_choice, ways_out):
+                np.subtract(score[u], score[u, c], out=scores)
+            row = score[v]
+            ways_out.min(axis=0, out=row)
+            # the first member attaining each column's way out
+            exits = np.full(m, cycle[-1], dtype=np.int32)
+            for u, scores in zip(cycle[-2::-1], ways_out[-2::-1]):
+                exits[scores == row] = u
+            inside = np.concatenate([held.pop(u, (u,)) for u in cycle])
+            held[v] = inside
+            row[inside] = np.inf
+            rep[inside] = v
+            for u in cycle[1:]:
+                alive[u] = False
+            pushes.append((v, cycle, cycle_choice, exits))
+            choice[v] = int(row.argmin())
+            v = rep[choice[v]]
+        for u in path:
+            reaches_root[u] = True
 
-    for c, cycle, cycle_parent, exits, entries in reversed(pushes):
-        p = parent[c]
-        into = parent == c
-        parent[into] = entries[into]
-        parent[cycle] = cycle_parent
-        parent[exits[p]] = p
-    parent[root] = -1
-    return parent
+    for v, cycle, cycle_choice, exits in reversed(pushes):
+        p = choice[v]
+        for u, c in zip(cycle, cycle_choice):
+            choice[u] = c
+        choice[exits[p]] = p
+    return choice
 
 
 def edmonds(instance: Instance, lam: float = 0.0) -> Arborescence:
@@ -296,26 +306,30 @@ def edmonds(instance: Instance, lam: float = 0.0) -> Arborescence:
 
     The best root is found in one pass via a virtual super-root joined to
     every vertex at a uniform large score, so exactly one real vertex
-    attaches to it. One (n+1) x (n+1) score matrix is made per call and
-    contracted in place. Raises ValueError unless 0 <= lam < inf.
+    attaches to it. One (n+1) x (n+1) score matrix is made per call; cycles
+    are contracted on its rows only, and no column is touched. Among equal
+    scores a vertex, or a contracted cycle, takes the smallest original
+    column as its parent. Raises ValueError unless 0 <= lam < inf.
     """
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     n = instance.n
-    score = np.full((n + 1, n + 1), np.inf)
+    score = np.empty((n + 1, n + 1))
     block = score[:n, :n]
-    block[...] = instance.costs
-    np.fill_diagonal(block, 0.0)
-    block *= lam
+    with np.errstate(invalid="ignore"):  # lam=0 turns the inf diagonal into nan
+        np.multiply(instance.costs, lam, out=block)
     block += instance.weights
-    big = 2.0 * (n + 1) * (float(np.max(block, where=np.isfinite(block), initial=0.0)) + 1.0)
+    np.fill_diagonal(score, -np.inf)
+    big = 2.0 * (n + 1) * (float(block.max()) + 1.0)
+    np.fill_diagonal(score, np.inf)
     score[:n, n] = big
-    parent = _min_out_tree(score, n)
+    score[n] = np.inf
+    choice = _min_out_tree(score, n)
 
-    root = int(np.nonzero(parent[:n] == n)[0][0])
-    parent = parent[:n].copy()
+    root = choice.index(n)
+    parent = np.array(choice[:n], dtype=np.int64)
     parent[root] = -1
-    rows = np.asarray([v for v in range(n) if v != root])
+    rows = np.flatnonzero(parent >= 0)
     weight = float(instance.weights[rows, parent[rows]].sum())
     cost = float(instance.costs[rows, parent[rows]].sum())
     return Arborescence(root=root, parent=parent, weight=weight, cost=cost)

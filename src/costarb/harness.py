@@ -312,9 +312,10 @@ def run_oracle_suite(count: int, n_range, seed: int) -> OracleSuiteReport:
 
     For each seeded instance: (a) Edmonds matches the exhaustive
     unconstrained optimum, (b) the dual maximum never exceeds the exact
-    constrained-mapping optimum, (c) the full pipeline yields a valid
-    arborescence within budget, (d) the mapping's weight stays below its dual
-    bound plus its heaviest edge. Violations carry the replaying seed.
+    constrained-mapping optimum, (c) the full pipeline yields an arborescence
+    within budget (it validates the tree itself and raises AssertionError on
+    an invalid one), (d) the mapping's weight stays below its dual bound plus
+    its heaviest edge. Violations carry the replaying seed.
     """
     n_values = sorted(n_range)
     if not n_values or n_values[0] < 2 or n_values[-1] > 7:
@@ -358,9 +359,9 @@ def run_oracle_suite(count: int, n_range, seed: int) -> OracleSuiteReport:
         if tr["lower_bound"] > exact_map.weight + 1e-9:
             record("weak-duality", f"phi* {tr['lower_bound']!r} > IP {exact_map.weight!r}")
 
-        ok, diags = arb_mod.validate(result.arborescence, inst)
-        if not ok or result.arborescence.cost > c0:
-            record("pipeline", f"valid={ok} diags={diags} cost={result.arborescence.cost!r}")
+        # the pipeline validated its tree, and raises AssertionError on an invalid one
+        if result.arborescence.cost > c0:
+            record("pipeline", f"cost {result.arborescence.cost!r} > budget {c0!r}")
 
         bound = tr["lower_bound"] + tr["w_max_used"] + 1e-9
         if tr["mapping_weight"] > bound:

@@ -178,6 +178,29 @@ class TestOracleSuite:
             "instances": 108, "checks": 432, "violations": [], "passed": True
         }
 
+    def test_one_validation_per_instance(self, monkeypatch):
+        # check (c) reads validity from the pipeline, which validates its tree
+        calls = []
+        validate = arb_mod.validate
+        monkeypatch.setattr(
+            arb_mod, "validate", lambda *args: calls.append(1) or validate(*args)
+        )
+        report = run_oracle_suite(108, (4, 5, 6), 601)
+        assert len(calls) == 108
+        assert report.passed, report.violations
+
+    def test_an_invalid_pipeline_tree_raises(self, monkeypatch):
+        # vertices 1 and 2 point at each other: the pipeline's own validation
+        # raises AssertionError, which the suite does not record but passes on
+        def cyclic(mapping, instance, c0, lambda_star, dec):
+            parent = np.zeros(instance.n, dtype=np.int64)
+            parent[:3] = -1, 2, 1
+            return arb_mod.Arborescence(root=0, parent=parent, weight=0.0, cost=0.0)
+
+        monkeypatch.setattr(arb_mod, "repair", cyclic)
+        with pytest.raises(AssertionError, match="invalid arborescence"):
+            run_oracle_suite(5, [4], seed=7)
+
     def test_no_dual_evaluation_for_the_budget_range(self, monkeypatch):
         # the top of each instance's budget range is the cost of its rows'
         # lightest edges, which the instance holds: no lambda=0 pass
