@@ -22,7 +22,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dual import _BRACKET_FACTOR, Mapping, _lambda_ceiling, make_mapping, solve_mapping
+from .dual import DualEvaluation, Mapping, _bracket, _lambda_ceiling, _line, _meet
+from .dual import make_mapping, solve_mapping
 from .errors import InfeasibleBudgetError, SizeLimitError
 from .instance import Instance
 
@@ -455,54 +456,61 @@ class PipelineResult:
     trace: dict = field(default_factory=dict)
 
 
+class _EdmondsEvaluator:
+    """The dual's search over Lagrangian arborescences: each lam's Edmonds
+    tree, made once, as the DualEvaluation of the arborescence dual."""
+
+    def __init__(self, instance: Instance, c0: float):
+        self.instance, self.c0 = instance, c0
+        self.trees = {}  # lam -> its evaluation; one Edmonds call each
+
+    def at(self, lam: float) -> DualEvaluation:
+        if lam not in self.trees:
+            tree = edmonds(self.instance, lam)
+            phi = _line(tree, lam, self.c0)
+            self.trees[lam] = DualEvaluation(lam, phi, tree, tree.cost - self.c0)
+        return self.trees[lam]
+
+    def ends(self, a: float, b: float) -> tuple[DualEvaluation, DualEvaluation]:
+        return self.at(a), self.at(b)
+
+    @staticmethod
+    def crossing(e_lo: DualEvaluation, e_hi: DualEvaluation) -> float:
+        lo, hi = e_lo.argmin, e_hi.argmin
+        return (hi.weight - lo.weight) / (lo.cost - hi.cost)
+
+
 def _lagrangian_arborescence(
     instance: Instance, c0: float, lambda_star: float
 ) -> tuple[Arborescence, int]:
     """The feasible-side Lagrangian arborescence, and the Edmonds calls made.
 
-    The lambda=0 tree if it fits c0. Otherwise the upper end starts at
-    ``lambda_star`` (n log n for 0) and steps up by the dual's bracket factor, up to
-    its ceiling, while its tree is over budget; then the two ends' lines
-    W + lambda*(C - c0) are met as the dual's stage 3 meets its mappings'.
-    Raises InfeasibleBudgetError if the tree at the ceiling, the
+    The lambda=0 tree if it fits c0. Otherwise the mapping dual's bracket
+    search (``dual._bracket``) and line meeting (``dual._meet``) run on the
+    trees, from a = 0 and b = ``lambda_star`` (n log n for 0). Raises
+    InfeasibleBudgetError if the tree at the search's ceiling, the
     cheapest-cost arborescence, is over budget.
     """
     n = instance.n
-    lo = edmonds(instance)
-    if lo.cost <= c0:
-        return lo, 1
-    lam_lo, lam_hi, ceiling = 0.0, lambda_star or n * math.log(n), _lambda_ceiling(n)
-    hi = edmonds(instance, lam_hi)
-    calls = 2
-    while hi.cost > c0:
-        if lam_hi == ceiling:
-            raise InfeasibleBudgetError(
-                f"cheapest arborescence costs {hi.cost:.6g} > budget {c0:.6g}"
-            )
-        lo, lam_lo, lam_hi = hi, lam_hi, min(lam_hi * _BRACKET_FACTOR, ceiling)
-        hi = edmonds(instance, lam_hi)
-        calls += 1
-    while True:
-        lam = (hi.weight - lo.weight) / (lo.cost - hi.cost)
-        if not lam_lo < lam < lam_hi:
-            return hi, calls
-        tree = edmonds(instance, lam)
-        calls += 1
-        if (tree.weight, tree.cost) in ((lo.weight, lo.cost), (hi.weight, hi.cost)):
-            return hi, calls
-        if tree.cost > c0:
-            lo, lam_lo = tree, lam
-        else:
-            hi, lam_hi = tree, lam
+    evaluate = _EdmondsEvaluator(instance, c0)
+    if evaluate.at(0.0).subgradient <= 0:
+        return evaluate.at(0.0).argmin, 1
+    try:
+        ends = _bracket(evaluate, 0.0, lambda_star or n * math.log(n))
+    except ArithmeticError:
+        cost = evaluate.at(_lambda_ceiling(n)).argmin.cost
+        message = f"cheapest arborescence costs {cost:.6g} > budget {c0:.6g}"
+        raise InfeasibleBudgetError(message) from None
+    return _meet(evaluate, *ends)[2].argmin, len(evaluate.trees)
 
 
 def solve_constrained_arborescence(instance: Instance, c0: float) -> PipelineResult:
     """Full pipeline: dual mapping solve at c0 -> cycle repair -> validation.
 
-    When the repaired arborescence costs more than c0, the feasible-side
-    Lagrangian arborescence of W + lambda*C, met from 0 and lambda*, is
-    returned instead. Raises InfeasibleBudgetError when no mapping fits c0,
-    or when the cheapest-cost arborescence does not.
+    When the repaired arborescence costs more than c0, the mapping dual's
+    search on Edmonds' trees of W + lambda*C, from 0 and lambda*, returns the
+    feasible-side Lagrangian arborescence instead. Raises InfeasibleBudgetError
+    when no mapping fits c0, or when the cheapest-cost arborescence does not.
 
     The lower bound certifies the constrained-mapping optimum; it and
     lambda* stay the mapping dual's when the fallback runs. The trace

@@ -44,7 +44,7 @@ def _emit(payload: dict, out_path) -> None:
 
 
 def _load_or_generate(args) -> inst_mod.Instance:
-    if getattr(args, "infile", None):
+    if args.infile:
         return inst_mod.load(args.infile)
     return inst_mod.generate(args.n, args.s, args.seed)
 
@@ -68,10 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
             name,
             help="run the full pipeline" if name == "solve" else "maximise the dual only",
         )
-        p.add_argument("--n", type=int)
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--n", type=int)
+        source.add_argument("--in", dest="infile", help="load instance instead of generating")
         p.add_argument("--s", type=float, default=1.0)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--in", dest="infile", help="load instance instead of generating")
         _add_budget_flags(p)
         p.add_argument("--out")
 
@@ -204,7 +205,7 @@ def main(argv=None) -> int:
     except AmbiguousRegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CostarbError, ValueError, OSError) as exc:
+    except (CostarbError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,7 +20,8 @@ onto. Each row's lightest edge (``Instance.cheapest_weights``) is the
 lam = 0 argmin, so whether the budget binds at all costs no pass.
 
 The maximiser is found exactly, in three stages, of which only the first
-scans the whole n x n matrix:
+scans the whole n x n matrix. Stages 1 and 3 (``_bracket``, ``_meet``) take
+any evaluator: the arborescence fallback runs them on Edmonds' trees.
 
 1. Full evaluations find a bracket [a, b] with subgradient > 0 at a and
    <= 0 at b. The per-row terms of phi concentrate, so a set of at least
@@ -29,16 +30,14 @@ scans the whole n x n matrix:
    number; that sample takes its start from every eighth of its rows in
    turn while it has 256 of them. The sample's maximiser lam^ puts b at
    1.5*lam^ and a at lam^/1.5. Without such an estimate b starts at
-   n log n and a at b/8. One pass evaluates both ends: each block of rows
-   is scanned at b and then, still in cache, at a. An end with the wrong
-   sign steps outward by a factor of 8, one pass per step; a step up
-   scans the old b again as the new a in the pass that evaluates the new
-   b. The estimate only picks where the full passes look: every bracket
-   is confirmed by them.
+   n log n and a at b/8. An end with the wrong sign steps outward by a
+   factor of 8, one pass per step, which ``_PhiEvaluator.ends`` makes.
+   The estimate only picks where the full passes look: every bracket is
+   confirmed by them.
 2. Each row keeps as candidates the columns j with fl(W + a*C) <= its
    minimum at b, collected in the pass at a once the block's minima at b
-   are known. Rounding is monotone, so every argmin at any lam in
-   [a, b], ties included, is a candidate.
+   are known. Rounding is monotone and costs are nonnegative, so every
+   argmin at any lam in [a, b], ties included, is a candidate.
 3. Each mapping's phi-line is W + lam*(C - c0). The lines of the argmins
    at the two bracket ends meet at some lam in between, where the argmin is
    evaluated on the candidates. If it is one of the two, lam is the
@@ -58,7 +57,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -160,7 +158,7 @@ class _PhiEvaluator:
     whole instance, a larger stride a fixed sample of its rows, whose
     mappings and totals cover those rows alone. A full evaluation scans
     W + lam*C block by block of those rows, each chunk of rows through its
-    own buffer. Once ``keep_candidates`` has run, ``on_candidates`` scans
+    own buffer. Once ``keep_candidates`` has run, ``at`` scans
     only each row's candidate columns, with the same arithmetic and the
     same gather-and-sum, so it returns the full evaluation bit for bit at
     any lam in the bracket the candidates were collected for.
@@ -175,6 +173,7 @@ class _PhiEvaluator:
         self.candidate_evaluations = 0
         self.candidate_width = 0
         self.sample_evaluations = 0
+        self._held = {}  # the last ends' a: its evaluation and row minima
 
     def _evaluation(self, lam: float, f, weight, cost) -> DualEvaluation:
         m = Mapping(f=f, weight=float(weight), cost=float(cost))
@@ -238,29 +237,30 @@ class _PhiEvaluator:
         ]
         return evaluations, minima, (np.concatenate(found) if found else None)
 
-    def full(
-        self, lam: float, minima_above: Optional[np.ndarray] = None
-    ) -> tuple[DualEvaluation, np.ndarray, Optional[np.ndarray]]:
-        """Full evaluation plus each row's minimum of W + lam*C.
+    def full(self, lam: float) -> tuple[DualEvaluation, np.ndarray]:
+        """Full evaluation plus each row's minimum of W + lam*C."""
+        [e], minima, _ = self._pass((lam,), None)
+        return e, minima[0]
 
-        Given the row minima at some b > lam, the same pass also collects
-        the candidates for [lam, b]: the flat indices (row * n + column,
-        rows counted among the scanned ones) of the entries with
-        fl(W + lam*C) <= their row's minimum at b. Rounding is monotone and
-        costs are nonnegative, so for every lam' in [lam, b] each column
-        attaining the row minimum, ties included, is among them.
+    def ends(self, a: float, b: float) -> tuple[DualEvaluation, DualEvaluation]:
+        """The evaluations at bracket ends a < b. The pass at a collects the
+        candidates for [a, b] (stage 2 of the module docstring) as flat
+        indices row * n + column, rows counted among the scanned ones, and
+        keeps them for ``keep_candidates``.
+
+        One pass scans each block of rows at b and then, still in cache, at
+        a. If b was the last call's a, its evaluation and row minima are
+        held and a is scanned alone. With a fresh b, a = 0 is read off
+        ``at_zero``, and ``keep_candidates`` collects its candidates.
         """
-        [e], minima, found = self._pass((lam,), minima_above)
-        return e, minima[0], found
-
-    def bracket(self, a: float, b: float):
-        """``full(b)`` then ``full(a, minima_b)`` in one pass, bit for bit:
-        each block of rows is scanned at b and then, while still in cache,
-        at a, collecting the candidates for [a, b]. Returns the evaluation
-        at b, its row minima, the evaluation at a, its row minima and the
-        candidates."""
-        (e_b, e_a), minima, found = self._pass((b, a), None)
-        return e_b, minima[0], e_a, minima[1], found
+        held = self._held.get(b)
+        lams = (a,) if held else ((b, a) if a else (b,))
+        evaluations, minima, self._found = self._pass(lams, held[1] if held else None)
+        e_b, self._minima_b = held or (evaluations[0], minima[0])
+        if lams[-1] != a:
+            return self.at_zero(), e_b
+        self._held = {a: (evaluations[-1], minima[-1])}
+        return evaluations[-1], e_b
 
     def at_zero(self) -> DualEvaluation:
         """The evaluation at lam = 0, read from each scanned row's lightest
@@ -272,16 +272,18 @@ class _PhiEvaluator:
             0.0, f, inst.cheapest_weights[1][rows].sum(), inst.costs[rows, f].sum()
         )
 
-    def keep_candidates(self, found: np.ndarray) -> None:
-        """Use the candidates ``full`` collected as each row's columns.
+    def keep_candidates(self) -> None:
+        """Use the candidates of the last ``ends`` as each row's columns.
 
         Flat indices ascend, so each row's columns do too, and argmin's first
         occurrence is still the smallest column. Rows are padded with
         W = inf, C = 0.
         """
         inst = self.instance
+        if self._found is None:  # a = 0 had no pass
+            self._found = self._pass((0.0,), self._minima_b)[2]
         m = len(self.rows)
-        t, cols = np.divmod(found, inst.n)
+        t, cols = np.divmod(self._found, inst.n)
         counts = np.bincount(t, minlength=m)
         slot = np.arange(len(t)) - (np.cumsum(counts) - counts)[t]
         k = int(counts.max())
@@ -296,7 +298,7 @@ class _PhiEvaluator:
         self._cand_offsets = np.arange(m) * k
         self.candidate_width = k
 
-    def on_candidates(self, lam: float) -> DualEvaluation:
+    def at(self, lam: float) -> DualEvaluation:
         np.multiply(self._cand_c, lam, out=self._cand_buf)
         self._cand_buf += self._cand_w
         chosen = self._cand_buf.argmin(axis=1) + self._cand_offsets
@@ -305,6 +307,17 @@ class _PhiEvaluator:
             lam, self._cand_cols.take(chosen),
             self._cand_w.take(chosen).sum(), self._cand_c.take(chosen).sum(),
         )
+
+    def crossing(self, e_lo: DualEvaluation, e_hi: DualEvaluation) -> float:
+        """Where the argmins' lines meet, summed over only the rows where they
+        differ, so that the totals' rounding does not swamp the differences."""
+        low, high = e_lo.argmin, e_hi.argmin
+        d = np.flatnonzero(low.f != high.f)
+        rows, f_low, f_high = self.rows[d], low.f[d], high.f[d]
+        weights, costs = self.instance.weights, self.instance.costs
+        dw = weights[rows, f_high] - weights[rows, f_low]
+        dc = costs[rows, f_low] - costs[rows, f_high]
+        return float(dw.sum() / dc.sum())
 
 
 def _check_budget(c0: float) -> None:
@@ -382,6 +395,49 @@ def _lambda_ceiling(n: int) -> float:
     return ceiling
 
 
+def _bracket(evaluate, below: float, b: float) -> tuple[DualEvaluation, DualEvaluation]:
+    """Stage 1 for either dual: ``evaluate.ends`` at a bracket [a, b] with
+    subgradient > 0 at a (which it must be at 0) and <= 0 at b, started from
+    ``below`` and b <= _lambda_ceiling(n). An end with the wrong sign steps
+    outward by _BRACKET_FACTOR; a b at the ceiling still positive raises
+    ArithmeticError, and an a below 1e-10 * (1 + b) is taken as 0."""
+    n = evaluate.instance.n
+    a = below if below > _BRACKET_FLOOR * (1.0 + b) else 0.0
+    e_lo, e_hi = evaluate.ends(a, b)
+    while e_hi.subgradient > 0:
+        if b == _lambda_ceiling(n):
+            raise ArithmeticError("subgradient never changed sign; lambda overflow")
+        a, b = b, min(b * _BRACKET_FACTOR, _lambda_ceiling(n))
+        e_lo, e_hi = evaluate.ends(a, b)
+    while e_lo.subgradient <= 0:
+        a, b = a / _BRACKET_FACTOR, a
+        a = a if a > _BRACKET_FLOOR * (1.0 + b) else 0.0
+        e_lo, e_hi = evaluate.ends(a, b)
+    return e_lo, e_hi
+
+
+def _meet(evaluate, e_lo: DualEvaluation, e_hi: DualEvaluation):
+    """Stage 3 for either dual: where the bracket argmins' lines
+    W + lam*(C - c0) meet (``evaluate.crossing``), the argmin (``evaluate.at``)
+    is one of them, and lam maximises the dual, or it replaces the end on
+    its side. Returns lam, clamped into the bracket, and the two ends."""
+    # parallel lines meet at inf or nan, which the clamp below handles
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            lam = evaluate.crossing(e_lo, e_hi)
+            if not e_lo.lam < lam < e_hi.lam:
+                # rounding: clamp into [lo, hi], taking hi for nan
+                return max(e_lo.lam, min(e_hi.lam, lam)), e_lo, e_hi
+            totals = [(end.argmin.weight, end.argmin.cost) for end in (e_lo, e_hi)]
+            e = evaluate.at(lam)
+            if (e.argmin.weight, e.argmin.cost) in totals:
+                return lam, e_lo, e_hi
+            if e.subgradient > 0:
+                e_lo = e
+            else:
+                e_hi = e
+
+
 def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
     """Maximise the dual of the rows ``evaluate`` scans."""
     c0 = evaluate.c0
@@ -391,17 +447,12 @@ def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
             f"cheapest mapping costs {cheapest:.6g} > budget {c0:.6g}"
         )
 
-    instance = evaluate.instance
-    n = instance.n
-    e_zero = evaluate.at_zero()
-    e_lo = e_hi = e_zero
+    e_lo = e_hi = evaluate.at_zero()
     lam = 0.0
-    if e_zero.subgradient > 0:
-        # 1. A bracket [a, b] with subgradient > 0 at a and <= 0 at b. Full
-        # evaluations start at b = 1.5 and a = 1/1.5 times the row sample's
-        # maximiser or, without one, at b = n log n and a = b/8, both in
-        # one pass, and step outward geometrically from whichever end has
-        # the wrong sign.
+    if e_lo.subgradient > 0:
+        # 1. Full evaluations start at b = 1.5 and a = 1/1.5 times the row
+        # sample's maximiser or, without one, at b = n log n and a = b/8.
+        n = evaluate.instance.n
         estimate = 0.0
         if len(evaluate.rows) >= _SAMPLE_MIN_N:
             estimate = _sample_estimate(evaluate, cheapest)
@@ -411,70 +462,10 @@ def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
         else:
             b = n * math.log(n)
             below = b / _BRACKET_FACTOR
-        # a = 0 is on the positive side; the floor only bounds the number of
-        # full passes. Each pass below b also collects the candidates for
-        # [its lam, b], kept if it turns out to be a.
-        e_mid = found = None
-        if below > _BRACKET_FLOOR * (1.0 + b):
-            e_hi, minima_b, e_mid, minima_mid, found = evaluate.bracket(below, b)
-        else:
-            e_hi, minima_b, _ = evaluate.full(b)
-        if e_hi.subgradient > 0:
-            # each step up re-scans the old b as a, collecting the
-            # candidates for [a, b] in the pass that evaluates the new b
-            ceiling = _lambda_ceiling(n)
-            while e_hi.subgradient > 0:
-                if b == ceiling:
-                    raise ArithmeticError("subgradient never changed sign; lambda overflow")
-                a, b = b, min(b * _BRACKET_FACTOR, ceiling)
-                e_hi, minima_b, e_lo, _, found = evaluate.bracket(a, b)
-        else:
-            while e_mid is not None:
-                if e_mid.subgradient > 0:
-                    e_lo = e_mid
-                    break
-                e_hi, minima_b, b, found = e_mid, minima_mid, below, None
-                below = b / _BRACKET_FACTOR
-                e_mid = None
-                if below > _BRACKET_FLOOR * (1.0 + b):
-                    e_mid, minima_mid, found = evaluate.full(below, minima_b)
-
-        # 2. Every argmin at any lam in [a, b] is among the candidates. A
-        # bracket found at the floor takes one more pass at a to collect
-        # them.
-        if found is None:
-            found = evaluate.full(e_lo.lam, minima_b)[2]
-        evaluate.keep_candidates(found)
-
-        # 3. Meet the bracket mappings' lines W + lam*(C - c0). Where they
-        # meet, either the argmin is one of them, and lam is the breakpoint
-        # that maximises phi, or it is a mapping strictly below both, which
-        # replaces the end on its side. Each step narrows (lo, hi).
-        weights, costs = instance.weights, instance.costs
-        # parallel lines meet at inf or nan, which the clamp below handles
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while True:
-                low, high = e_lo.argmin, e_hi.argmin
-                # Summed over only the rows where the two differ, the totals'
-                # rounding does not swamp the differences.
-                d = np.flatnonzero(low.f != high.f)
-                rows, f_low, f_high = evaluate.rows[d], low.f[d], high.f[d]
-                dw = weights[rows, f_high] - weights[rows, f_low]
-                dc = costs[rows, f_low] - costs[rows, f_high]
-                lam = float(dw.sum() / dc.sum())
-                if not e_lo.lam < lam < e_hi.lam:
-                    # rounding: clamp into [lo, hi], taking hi for nan
-                    lam = max(e_lo.lam, min(e_hi.lam, lam))
-                    break
-                e = evaluate.on_candidates(lam)
-                if (e.argmin.weight, e.argmin.cost) in (
-                    (low.weight, low.cost), (high.weight, high.cost)
-                ):
-                    break
-                if e.subgradient > 0:
-                    e_lo = e
-                else:
-                    e_hi = e
+        e_lo, e_hi = _bracket(evaluate, below, b)
+        # 2. and 3.: the lines meet on the candidates for [a, b]
+        evaluate.keep_candidates()
+        lam, e_lo, e_hi = _meet(evaluate, e_lo, e_hi)
 
     return DualOptimum(
         lambda_star=lam, phi_star=_line(e_hi.argmin, lam, c0),

@@ -22,6 +22,7 @@ from costarb import (
     from_arrays,
     generate,
     make_mapping,
+    maximize_dual,
     min_cost_sum,
     repair,
     run_oracle_suite,
@@ -29,6 +30,7 @@ from costarb import (
     uniform_mapping,
     validate,
 )
+from costarb.dual import _BRACKET_FACTOR, _lambda_ceiling
 from costarb.harness import derive_trial_seed
 
 
@@ -634,6 +636,40 @@ def _reference_edmonds(
     return Arborescence(root=root, parent=parent, weight=weight, cost=cost)
 
 
+# Reference: the Lagrangian-arborescence fallback with its own copy of the
+# dual's bracket search and line meeting. Kept verbatim apart from the name.
+def _reference_lagrangian_arborescence(
+    instance: Instance, c0: float, lambda_star: float
+) -> tuple[Arborescence, int]:
+    n = instance.n
+    lo = edmonds(instance)
+    if lo.cost <= c0:
+        return lo, 1
+    lam_lo, lam_hi, ceiling = 0.0, lambda_star or n * math.log(n), _lambda_ceiling(n)
+    hi = edmonds(instance, lam_hi)
+    calls = 2
+    while hi.cost > c0:
+        if lam_hi == ceiling:
+            raise InfeasibleBudgetError(
+                f"cheapest arborescence costs {hi.cost:.6g} > budget {c0:.6g}"
+            )
+        lo, lam_lo, lam_hi = hi, lam_hi, min(lam_hi * _BRACKET_FACTOR, ceiling)
+        hi = edmonds(instance, lam_hi)
+        calls += 1
+    while True:
+        lam = (hi.weight - lo.weight) / (lo.cost - hi.cost)
+        if not lam_lo < lam < lam_hi:
+            return hi, calls
+        tree = edmonds(instance, lam)
+        calls += 1
+        if (tree.weight, tree.cost) in ((lo.weight, lo.cost), (hi.weight, hi.cost)):
+            return hi, calls
+        if tree.cost > c0:
+            lo, lam_lo = tree, lam
+        else:
+            hi, lam_hi = tree, lam
+
+
 def _bits(a: Arborescence):
     return a.root, a.parent.dtype, a.parent.tolist(), a.weight.hex(), a.cost.hex()
 
@@ -765,6 +801,38 @@ class TestEqualsTheOldCode:
             assert _bits(edmonds(inst, lam)) == _bits(
                 _reference_edmonds(inst, lambda w, c: w + lam * c)
             ), (n, seed)
+
+    @pytest.mark.parametrize("s", [1.0, 0.6])
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_lagrangian_fallback(self, n, s):
+        # from lambda=0 and the mapping dual's lambda*: the same tree, the
+        # same Edmonds calls, or the same error. Seeds 40 and 110 add
+        # instances whose cheapest arborescence breaches min_cost_sum.
+        def run(fallback, inst, c0, lambda_star):
+            try:
+                arb, calls = fallback(inst, c0, lambda_star)
+            except InfeasibleBudgetError as exc:
+                return type(exc), str(exc)
+            return _bits(arb), calls
+
+        rows = np.arange(n)
+        errors = 0
+        for seed in (*range(40), 40, 110):
+            inst = generate(n, s, seed)
+            low = min_cost_sum(inst)
+            high = float(inst.costs[rows, inst.cheapest_weights[0]].sum())
+            budgets = (low, low * 1.02, low + 0.3 * (high - low), low + 0.7 * (high - low))
+            for c0 in budgets + (math.sqrt(n), 2.0):
+                try:
+                    lambda_star = maximize_dual(inst, c0).lambda_star
+                except InfeasibleBudgetError:
+                    continue
+                result = run(arb_mod._lagrangian_arborescence, inst, c0, lambda_star)
+                assert result == run(
+                    _reference_lagrangian_arborescence, inst, c0, lambda_star
+                ), (n, s, seed, c0)
+                errors += result[0] is InfeasibleBudgetError
+        assert (errors > 0) == ((n, s) in ((6, 1.0), (6, 0.6), (7, 1.0))), errors
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 0.7])
     def test_edmonds_on_grids_of_eighths(self, lam):

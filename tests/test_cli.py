@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from costarb import load, save
+from costarb import from_arrays, generate, load, save
 from costarb.cli import main
 
 
@@ -76,6 +76,26 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert "--tighten" in err
+
+    @pytest.mark.parametrize("command", ["solve", "dual"])
+    @pytest.mark.parametrize("source", [(), ("--n", "5", "--in", "x.carb")])
+    def test_one_instance_source(self, capsys, command, source):
+        # --n draws an instance and --in loads one: exactly one is required
+        code, out, err = run_cli(capsys, command, *source, "--c0", "1")
+        assert code == 2
+        assert out == ""
+        assert "--n" in err and "--in" in err
+
+    @pytest.mark.parametrize("command", ["solve", "dual"])
+    def test_multiplier_overflow(self, tmp_path, capsys, command):
+        # weights x1e40 put lambda* past the bracket search's ceiling
+        base = generate(6, 1.0, 0)
+        path = tmp_path / "heavy.carb"
+        save(from_arrays(base.weights * 1e40, base.costs), path)
+        code, out, err = run_cli(capsys, command, "--in", str(path), "--c0", "0.8983")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "lambda overflow" in err
 
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_multiplier(self, capsys, lam):

@@ -90,8 +90,8 @@ class TestPhi:
         assert sample.rows.tolist() == rows.tolist()
         for lam, b in ((0.0, 0.5), (0.5, 2.0), (3.0, 3.0)):
             minima_b = whole.full(b)[1]
-            e, minima, found = whole.full(lam, minima_b)
-            e_s, minima_s, found_s = sample.full(lam, minima_b[rows])
+            [e], [minima], found = whole._pass((lam,), minima_b)
+            [e_s], [minima_s], found_s = sample._pass((lam,), minima_b[rows])
             assert e_s.argmin.f.tolist() == e.argmin.f[rows].tolist()
             assert minima_s.tobytes() == minima[rows].tobytes()
             kept = np.isin(found // n, rows)
@@ -731,6 +731,67 @@ class TestDualCounters:
         assert opt.mapping_low.cost > min_cost_sum(inst) >= opt.mapping_high.cost
         assert opt.full_evaluations == 4
 
+    @staticmethod
+    def passes_of(monkeypatch, inst, c0):
+        """maximize_dual(inst, c0) and the lams of each of its passes over
+        all rows."""
+        passes = []
+        shipped = dual_module._PhiEvaluator._pass
+
+        def spy(self, lams, minima_above):
+            if self.stride == 1:
+                passes.append(tuple(lams))
+            return shipped(self, lams, minima_above)
+
+        monkeypatch.setattr(dual_module._PhiEvaluator, "_pass", spy)
+        return maximize_dual(inst, c0), passes
+
+    def test_each_step_down_is_one_pass_at_the_new_a(self, monkeypatch):
+        # Without a row sample the search starts at b = n log n and a = b/8,
+        # both above lambda* here. Each step down makes a the new b and
+        # scans only the new a, collecting its candidates against the row
+        # minima that the pass before found at the new b.
+        inst = generate(4, 1.0, 0)
+        low = min_cost_sum(inst)
+        high = inst.costs[np.arange(4), inst.cheapest_weights[0]].sum()
+        opt, passes = self.passes_of(monkeypatch, inst, low + 0.7 * (high - low))
+        b = 4 * math.log(4)
+        a = b / 8
+        assert passes == [(b, a), (a / 8,), (a / 64,)]
+        assert a / 64 < opt.lambda_star < a / 8
+        assert opt.full_evaluations == 4
+
+    def test_steps_down_to_the_floor(self, monkeypatch):
+        # The lambda=0 argmin breaks a tie over budget, yet a tied mapping
+        # fits, so lambda* is 0. The search steps down until a falls below
+        # 1e-10 * (1 + b), where a becomes 0; a last pass at 0 collects the
+        # candidates for [0, b].
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            inst = from_arrays(rng.integers(0, 9, (5, 5)) / 8, rng.integers(0, 9, (5, 5)) / 8)
+        opt, passes = self.passes_of(monkeypatch, inst, 2.25)
+        b = 5 * math.log(5)
+        expected = [(b, b / 8)] + [(b / 8**k,) for k in range(2, 13)] + [(0.0,)]
+        assert passes == expected
+        assert opt.lambda_star == 0.0
+        assert opt.full_evaluations == 14
+
+    def test_a_start_below_the_floor_scans_b_alone(self, monkeypatch):
+        # Weights x1e-12 put the row sample's estimate, and so a, below the
+        # floor: a starts at 0, read off the lightest edges, and the first
+        # pass scans b alone. The sampled rows x0.01 more put lambda* above
+        # b, so b steps up twice, each pass scanning the new b and the old.
+        base = generate(600, 1.0, 2)
+        weights = base.weights * 1e-12
+        weights[:: dual_module._SAMPLE_STRIDE] *= 0.01
+        inst = from_arrays(weights, base.costs)
+        opt, passes = self.passes_of(monkeypatch, inst, math.sqrt(600))
+        b = passes[0][0]
+        assert b < 1e-10
+        assert passes == [(b,), (8 * b, b), (64 * b, 8 * b)]
+        assert 8 * b < opt.lambda_star < 64 * b
+        assert opt.full_evaluations == 5
+
 
 def _serial_full(evaluate, lam, minima_above=None):
     """Reference: ``_PhiEvaluator.full`` as it was before passes ran in row
@@ -802,7 +863,7 @@ class TestThreadedPasses:
                     ref_b = _serial_full(evaluate, b)
                     ref_a = _serial_full(evaluate, a, ref_b[3])
                     scans.clear()
-                    e_b, minima_b, e_a, minima_a, found = evaluate.bracket(a, b)
+                    (e_b, e_a), (minima_b, minima_a), found = evaluate._pass((b, a), None)
                     assert len(scans) == max(1, min(cpus, m // _ROW_BLOCK)), (n, stride, cpus)
                     self.assert_evaluation(e_b, ref_b, b)
                     self.assert_evaluation(e_a, ref_a, a)
@@ -810,11 +871,11 @@ class TestThreadedPasses:
                     assert minima_a.tobytes() == ref_a[3].tobytes()
                     assert found.tolist() == ref_a[4].tolist(), (n, stride, cpus, a, b)
                     # a single evaluation, with and without collection
-                    e, minima, found = evaluate.full(a, ref_b[3])
+                    [e], [minima], found = evaluate._pass((a,), ref_b[3])
                     self.assert_evaluation(e, ref_a, a)
                     assert minima.tobytes() == ref_a[3].tobytes()
                     assert found.tolist() == ref_a[4].tolist()
-                    e, minima, found = evaluate.full(b)
+                    [e], [minima], found = evaluate._pass((b,), None)
                     self.assert_evaluation(e, ref_b, b)
                     assert minima.tobytes() == ref_b[3].tobytes() and found is None
         finally:
