@@ -37,7 +37,6 @@ class Decomposition:
     cycles: list
     component_of: np.ndarray
     component_sizes: list
-    largest_component: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +66,7 @@ def decompose(mapping: Union[Mapping, np.ndarray]) -> Decomposition:
 
     Walks each unvisited vertex forward, marking the current path; hitting
     the path again closes a new cycle, hitting settled territory merges into
-    that component. O(n) total. Component ids index into ``cycles``; the
-    largest component (smallest id on ties) is singled out.
+    that component. O(n) total. Component ids index into ``cycles``.
     """
     f_arr = mapping.f if isinstance(mapping, Mapping) else np.asarray(mapping)
     n = len(f_arr)
@@ -97,12 +95,10 @@ def decompose(mapping: Union[Mapping, np.ndarray]) -> Decomposition:
     sizes = [0] * len(cycles)
     for cid in comp:
         sizes[cid] += 1
-    largest = max(range(len(sizes)), key=lambda i: (sizes[i], -i))
     return Decomposition(
         cycles=cycles,
         component_of=np.asarray(comp, dtype=np.int64),
         component_sizes=sizes,
-        largest_component=largest,
     )
 
 

@@ -45,8 +45,14 @@ def _emit(payload: dict, out_path) -> None:
 
 def _load_or_generate(args) -> inst_mod.Instance:
     if args.infile:
+        # --s and --seed describe a drawn instance; a loaded one has its own
+        for flag in ("s", "seed"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} draws an instance and cannot go with --in")
         return inst_mod.load(args.infile)
-    return inst_mod.generate(args.n, args.s, args.seed)
+    return inst_mod.generate(
+        args.n, 1.0 if args.s is None else args.s, 0 if args.seed is None else args.seed
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--n", type=int)
         source.add_argument("--in", dest="infile", help="load instance instead of generating")
-        p.add_argument("--s", type=float, default=1.0)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--s", type=float, help="with --n only (default 1.0)")
+        p.add_argument("--seed", type=int, help="with --n only (default 0)")
         _add_budget_flags(p)
         p.add_argument("--out")
 

@@ -493,21 +493,23 @@ def solve_mapping(instance: Instance, c0: float) -> MappingSolution:
 
     # One-row swap: move a single row of the infeasible-side mapping to its
     # cheapest-cost edge, keeping the rest intact; at most one row differs.
-    # (mapping_low fits c0 only as the lambda=0 argmin, which is mapping_high.)
+    # mapping_low fits c0 only as the lambda=0 argmin, which is mapping_high
+    # itself and takes each row's lightest edge: no swap can make it lighter.
     best = opt.mapping_high
-    f_low = opt.mapping_low.f
-    cost_delta = cheap_costs - instance.costs[rows, f_low]
-    weight_delta = instance.weights[rows, cheap_cols] - instance.weights[rows, f_low]
-    swapped_cost = opt.mapping_low.cost + cost_delta
-    feasible = swapped_cost <= c0
-    if feasible.any():
-        new_weights = opt.mapping_low.weight + np.where(feasible, weight_delta, np.inf)
-        i = int(np.argmin(new_weights))
-        f_swap = f_low.copy()
-        f_swap[i] = cheap_cols[i]
-        swapped = make_mapping(instance, f_swap)
-        if swapped.weight < best.weight:
-            best = swapped
+    if opt.mapping_low is not opt.mapping_high:
+        f_low = opt.mapping_low.f
+        cost_delta = cheap_costs - instance.costs[rows, f_low]
+        weight_delta = instance.weights[rows, cheap_cols] - instance.weights[rows, f_low]
+        swapped_cost = opt.mapping_low.cost + cost_delta
+        feasible = swapped_cost <= c0
+        if feasible.any():
+            new_weights = opt.mapping_low.weight + np.where(feasible, weight_delta, np.inf)
+            i = int(np.argmin(new_weights))
+            f_swap = f_low.copy()
+            f_swap[i] = cheap_cols[i]
+            swapped = make_mapping(instance, f_swap)
+            if swapped.weight < best.weight:
+                best = swapped
 
     w_max = float(instance.weights[rows, best.f].max())
     c_max = float(instance.costs[rows, best.f].max())

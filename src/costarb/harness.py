@@ -307,6 +307,11 @@ class OracleSuiteReport:
         }
 
 
+# Instances per block of the oracle suite. Each stage runs over a whole
+# block before the next starts; the block bounds the instances held at once.
+_SUITE_BLOCK = 256
+
+
 def run_oracle_suite(count: int, n_range, seed: int) -> OracleSuiteReport:
     """Cross-validate the solver stack against exhaustive small-n oracles.
 
@@ -316,14 +321,32 @@ def run_oracle_suite(count: int, n_range, seed: int) -> OracleSuiteReport:
     within budget (it validates the tree itself and raises AssertionError on
     an invalid one), (d) the mapping's weight stays below its dual bound plus
     its heaviest edge. Violations carry the replaying seed.
+
+    Indices run in blocks of _SUITE_BLOCK, and inside a block stage by stage:
+    draw every instance and its budget, check (a), run the pipeline, then
+    check (b) and (d) against the exact mapping optimum. Violations are
+    listed by index, and by check within an index, so the report does not
+    depend on the block size or the stage order.
     """
     n_values = sorted(n_range)
     if not n_values or n_values[0] < 2 or n_values[-1] > 7:
         raise ValueError(f"n_range must sit within [2, 7], got {n_values}")
     violations = []
     checks = 0
+    for start in range(0, count, _SUITE_BLOCK):
+        block = range(start, min(start + _SUITE_BLOCK, count))
+        violations += _oracle_block(block, n_values, seed)
+        checks += 4 * len(block)
+    return OracleSuiteReport(
+        instances=count, checks=checks, violations=violations,
+        passed=not violations,
+    )
 
-    for idx in range(count):
+
+def _oracle_block(indices: range, n_values: list, seed: int) -> list:
+    """The oracle suite's violations over ``indices``, in index order."""
+    cases = []
+    for idx in indices:
         n = n_values[idx % len(n_values)]
         inst_seed = derive_trial_seed(seed, idx)
         inst = inst_mod.generate(n, 1.0, inst_seed)
@@ -333,41 +356,45 @@ def run_oracle_suite(count: int, n_range, seed: int) -> OracleSuiteReport:
         high = float(inst.costs[np.arange(n), inst.cheapest_weights[0]].sum())
         u = 0.3 + 1.2 * ((_splitmix64(idx) >> 11) / 2**53)
         c0 = low + u * max(high - low, 1e-6)
-        ctx = {"seed": inst_seed, "n": n, "c0": c0}
+        cases.append((inst, c0, {"seed": inst_seed, "n": n, "c0": c0}))
+    # one list per instance, so each instance's violations keep check order
+    found = [[] for _ in cases]
 
-        def record(name: str, detail: str) -> None:
-            violations.append({**ctx, "check": name, "detail": detail})
-
-        checks += 1
+    for (inst, _, _), out in zip(cases, found):
         unconstrained = arb_mod.edmonds(inst)
         oracle_free = arb_mod.exact_arborescence_oracle(inst, math.inf)
         if abs(unconstrained.weight - oracle_free.weight) > 1e-9:
-            record("edmonds", f"{unconstrained.weight!r} != oracle {oracle_free.weight!r}")
+            out.append(("edmonds", f"{unconstrained.weight!r} != oracle {oracle_free.weight!r}"))
 
-        # The pipeline's one dual solve serves checks (b) and (d) too; an
-        # error it raises is recorded by (b), (c) and (d) each.
-        checks += 3
+    # The pipeline's one dual solve serves checks (b) and (d) too; an
+    # error it raises is recorded by (b), (c) and (d) each.
+    results = []
+    for (inst, c0, _), out in zip(cases, found):
         try:
-            result = arb_mod.solve_constrained_arborescence(inst, c0)
+            results.append(arb_mod.solve_constrained_arborescence(inst, c0))
         except CostarbError as exc:
+            results.append(None)
             for name in ("weak-duality", "pipeline", "gap-sandwich"):
-                record(name, f"{type(exc).__name__}: {exc}")
+                out.append((name, f"{type(exc).__name__}: {exc}"))
+
+    for (inst, c0, _), result, out in zip(cases, results, found):
+        if result is None:
             continue
         tr = result.trace
-
         exact_map = arb_mod.exact_mapping_oracle(inst, c0)
         if tr["lower_bound"] > exact_map.weight + 1e-9:
-            record("weak-duality", f"phi* {tr['lower_bound']!r} > IP {exact_map.weight!r}")
+            out.append(("weak-duality", f"phi* {tr['lower_bound']!r} > IP {exact_map.weight!r}"))
 
         # the pipeline validated its tree, and raises AssertionError on an invalid one
         if result.arborescence.cost > c0:
-            record("pipeline", f"cost {result.arborescence.cost!r} > budget {c0!r}")
+            out.append(("pipeline", f"cost {result.arborescence.cost!r} > budget {c0!r}"))
 
         bound = tr["lower_bound"] + tr["w_max_used"] + 1e-9
         if tr["mapping_weight"] > bound:
-            record("gap-sandwich", f"weight {tr['mapping_weight']!r} > phi*+w_max {bound!r}")
+            out.append(("gap-sandwich", f"weight {tr['mapping_weight']!r} > phi*+w_max {bound!r}"))
 
-    return OracleSuiteReport(
-        instances=count, checks=checks, violations=violations,
-        passed=not violations,
-    )
+    return [
+        {**ctx, "check": name, "detail": detail}
+        for (_, _, ctx), out in zip(cases, found)
+        for name, detail in out
+    ]

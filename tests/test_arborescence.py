@@ -39,7 +39,6 @@ class TestDecompose:
         d = decompose(np.array([1, 0, 1]))
         assert d.cycles == [[0, 1]]
         assert d.component_sizes == [3]
-        assert d.largest_component == 0
 
     def test_pure_cycle(self):
         d = decompose(np.array([1, 2, 0]))
@@ -52,7 +51,6 @@ class TestDecompose:
         assert sorted(sorted(c) for c in d.cycles) == [[0, 1], [2, 3]]
         assert sorted(d.component_sizes) == [2, 3]
         assert d.component_of[4] == d.component_of[2]
-        assert d.largest_component == int(d.component_of[2])
 
     @given(
         n=st.integers(min_value=2, max_value=60),

@@ -87,6 +87,17 @@ class TestUsageErrors:
         assert "--n" in err and "--in" in err
 
     @pytest.mark.parametrize("command", ["solve", "dual"])
+    @pytest.mark.parametrize("flag,value", [("--s", "0.3"), ("--seed", "99")])
+    def test_draw_flags_with_a_file(self, tmp_path, capsys, command, flag, value):
+        # --s and --seed describe a drawn instance; a loaded one has its own
+        path = tmp_path / "x.carb"
+        save(generate(5, 1.0, 3), path)
+        code, out, err = run_cli(capsys, command, "--in", str(path), flag, value, "--c0", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and flag in err and "--in" in err
+
+    @pytest.mark.parametrize("command", ["solve", "dual"])
     def test_multiplier_overflow(self, tmp_path, capsys, command):
         # weights x1e40 put lambda* past the bracket search's ceiling
         base = generate(6, 1.0, 0)
@@ -161,6 +172,15 @@ class TestGenAndFiles:
 
 
 class TestDualCommand:
+    @pytest.mark.parametrize("command", ["solve", "dual"])
+    def test_drawn_instance_defaults(self, capsys, command):
+        # without --s and --seed an instance is drawn at s = 1.0, seed 0
+        code, out, _ = run_cli(capsys, command, "--n", "7", "--c0", "2.0")
+        assert code == 0
+        assert run_cli(
+            capsys, command, "--n", "7", "--s", "1.0", "--seed", "0", "--c0", "2.0"
+        ) == (0, out, "")
+
     def test_reports_bracket(self, capsys):
         code, out, _ = run_cli(
             capsys, "dual", "--n", "10", "--seed", "4", "--c0", "2.0"

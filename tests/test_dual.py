@@ -193,6 +193,27 @@ class TestSolveMapping:
             opt = maximize_dual(inst, c0)
             assert sol.mapping.weight <= opt.phi_star + sol.w_max_used + 1e-9
 
+    def test_no_swap_when_the_budget_does_not_bind(self, monkeypatch):
+        # the lambda=0 mapping takes each row's lightest edge, so moving a row
+        # to its cheapest-cost edge cannot make it lighter: no swap is built
+        calls = []
+        build = dual_module.make_mapping
+        monkeypatch.setattr(
+            dual_module, "make_mapping", lambda *args: calls.append(1) or build(*args)
+        )
+        for seed in range(20):
+            inst = generate(6, 1.0, seed)
+            lightest = inst.cheapest_weights[0]
+            sol = solve_mapping(inst, float(inst.costs[np.arange(6), lightest].sum()))
+            assert sol.dual.lambda_star == 0.0
+            assert np.array_equal(sol.mapping.f, lightest)
+        assert calls == []
+        # where the budget binds, the swap is still tried
+        for seed in range(20):
+            inst = generate(6, 1.0, seed)
+            solve_mapping(inst, 1.2 * min_cost_sum(inst))
+        assert calls
+
     def test_infeasible_propagates(self, worked):
         with pytest.raises(InfeasibleBudgetError):
             solve_mapping(worked, 0.6)

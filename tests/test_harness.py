@@ -16,9 +16,16 @@ from costarb import (
     run_oracle_suite,
 )
 from costarb import arborescence as arb_mod
-from costarb import dual
+from costarb import dual, harness
 from costarb import instance as instance_module
-from costarb.harness import derive_trial_seed, write_report
+from costarb.errors import CostarbError, InfeasibleBudgetError
+from costarb.harness import (
+    _SUITE_BLOCK,
+    OracleSuiteReport,
+    _splitmix64,
+    derive_trial_seed,
+    write_report,
+)
 
 
 def small_config(**overrides):
@@ -251,6 +258,110 @@ class TestOracleSuite:
     def test_rejects_big_n(self):
         with pytest.raises(ValueError):
             run_oracle_suite(2, [8], seed=0)
+
+
+def _reference_oracle_suite(count, n_range, seed):
+    """run_oracle_suite as it was before it ran stage by stage: every check
+    of one instance before the next instance is drawn."""
+    n_values = sorted(n_range)
+    if not n_values or n_values[0] < 2 or n_values[-1] > 7:
+        raise ValueError(f"n_range must sit within [2, 7], got {n_values}")
+    violations = []
+    checks = 0
+
+    for idx in range(count):
+        n = n_values[idx % len(n_values)]
+        inst_seed = derive_trial_seed(seed, idx)
+        inst = instance_module.generate(n, 1.0, inst_seed)
+        low = dual.min_cost_sum(inst)
+        high = float(inst.costs[np.arange(n), inst.cheapest_weights[0]].sum())
+        u = 0.3 + 1.2 * ((_splitmix64(idx) >> 11) / 2**53)
+        c0 = low + u * max(high - low, 1e-6)
+        ctx = {"seed": inst_seed, "n": n, "c0": c0}
+
+        def record(name: str, detail: str) -> None:
+            violations.append({**ctx, "check": name, "detail": detail})
+
+        checks += 1
+        unconstrained = arb_mod.edmonds(inst)
+        oracle_free = arb_mod.exact_arborescence_oracle(inst, math.inf)
+        if abs(unconstrained.weight - oracle_free.weight) > 1e-9:
+            record("edmonds", f"{unconstrained.weight!r} != oracle {oracle_free.weight!r}")
+
+        checks += 3
+        try:
+            result = arb_mod.solve_constrained_arborescence(inst, c0)
+        except CostarbError as exc:
+            for name in ("weak-duality", "pipeline", "gap-sandwich"):
+                record(name, f"{type(exc).__name__}: {exc}")
+            continue
+        tr = result.trace
+
+        exact_map = arb_mod.exact_mapping_oracle(inst, c0)
+        if tr["lower_bound"] > exact_map.weight + 1e-9:
+            record("weak-duality", f"phi* {tr['lower_bound']!r} > IP {exact_map.weight!r}")
+
+        if result.arborescence.cost > c0:
+            record("pipeline", f"cost {result.arborescence.cost!r} > budget {c0!r}")
+
+        bound = tr["lower_bound"] + tr["w_max_used"] + 1e-9
+        if tr["mapping_weight"] > bound:
+            record("gap-sandwich", f"weight {tr['mapping_weight']!r} > phi*+w_max {bound!r}")
+
+    return OracleSuiteReport(
+        instances=count, checks=checks, violations=violations,
+        passed=not violations,
+    )
+
+
+class TestEqualsTheInstanceLoop:
+    """run_oracle_suite, which runs a block stage by stage, reports what the
+    instance-by-instance loop did, violation by violation."""
+
+    @staticmethod
+    def assert_same(args):
+        report, reference = run_oracle_suite(*args), _reference_oracle_suite(*args)
+        assert report.violations == reference.violations
+        assert report.to_dict() == reference.to_dict()
+        return report
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_counts_around_the_block(self, offset):
+        self.assert_same((_SUITE_BLOCK + offset, (4, 5, 6), 17))
+
+    @pytest.mark.parametrize("n_range,count", [((2,), 40), ((2, 3), 41), ((6, 7), 9)])
+    def test_n_ranges(self, n_range, count):
+        self.assert_same((count, n_range, 23))
+
+    def test_smaller_blocks(self, monkeypatch):
+        monkeypatch.setattr(harness, "_SUITE_BLOCK", 4)
+        for count in (0, 3, 4, 5, 11):
+            assert self.assert_same((count, range(2, 8), 29)).checks == 4 * count
+
+    @pytest.mark.parametrize("block", [4, _SUITE_BLOCK])
+    def test_injected_faults(self, monkeypatch, block):
+        # a heavier Edmonds tree for every third instance and an infeasible
+        # pipeline for every fifth: both kinds, apart and together
+        edmonds_tree, pipeline = arb_mod.edmonds, arb_mod.solve_constrained_arborescence
+
+        def heavier(inst):
+            arb = edmonds_tree(inst)
+            extra = 1.0 if inst.seed % 3 == 0 else 0.0
+            return dataclasses.replace(arb, weight=arb.weight + extra)
+
+        def refuses(inst, c0):
+            if inst.seed % 5 == 0:
+                raise InfeasibleBudgetError(f"injected at seed {inst.seed}")
+            return pipeline(inst, c0)
+
+        monkeypatch.setattr(harness, "_SUITE_BLOCK", block)
+        monkeypatch.setattr(arb_mod, "edmonds", heavier)
+        monkeypatch.setattr(arb_mod, "solve_constrained_arborescence", refuses)
+        report = self.assert_same((30, (4, 5, 6), 31))
+        checks = [v["check"] for v in report.violations]
+        assert "edmonds" in checks and "pipeline" in checks
+        seeds = [v["seed"] for v in report.violations]
+        assert any(seed % 15 == 0 for seed in seeds), "no instance has both faults"
 
 
 def _digest(text: str) -> str:

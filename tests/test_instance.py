@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from costarb import (
     generate,
     load,
     run_experiment,
+    run_expectation_check,
     save,
 )
 from costarb import instance as instance_module
@@ -97,6 +99,34 @@ def test_distinct_seeds_differ():
     a = generate(4, 1.0, 1)
     b = generate(4, 1.0, 2)
     assert not np.array_equal(a.weights, b.weights)
+
+
+# Philox's key is given as a list, which numpy casts to float64 when a seed
+# is 2**63 or more: neighbouring seeds there draw one stream, and 2**64 - 1
+# draws seed 0's. derive_trial_seed yields such seeds about half the time, so
+# passing the key exactly moves pinned digests; until then these fail.
+_ROUNDED_KEY = pytest.mark.xfail(
+    strict=True, reason="seeds of 2**63 and more are rounded to float64 in Philox's key"
+)
+_ROUNDED_PAIRS = [(2**63 + 5, 2**63 + 6), (2**64 - 1, 0)]
+
+
+@_ROUNDED_KEY
+@pytest.mark.parametrize("a,b", _ROUNDED_PAIRS)
+def test_distinct_high_seeds_differ(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the cast of 2**64 - 1
+        assert not np.array_equal(generate(4, 1.0, a).weights, generate(4, 1.0, b).weights)
+
+
+@_ROUNDED_KEY
+@pytest.mark.parametrize("a,b", _ROUNDED_PAIRS)
+def test_distinct_high_seeds_differ_in_the_expectation_check(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        means = [run_expectation_check(10, 0.1, 1.0, 100, seed).empirical_mean
+                 for seed in (a, b)]
+    assert means[0] != means[1]
 
 
 def test_invalid_parameters_rejected():
