@@ -92,14 +92,9 @@ def decompose(mapping: Union[Mapping, np.ndarray]) -> Decomposition:
         for u in path:
             comp[u] = cid
 
-    sizes = [0] * len(cycles)
-    for cid in comp:
-        sizes[cid] += 1
-    return Decomposition(
-        cycles=cycles,
-        component_of=np.asarray(comp, dtype=np.int64),
-        component_sizes=sizes,
-    )
+    component_of = np.asarray(comp, dtype=np.int64)
+    sizes = np.bincount(component_of, minlength=len(cycles)).tolist()
+    return Decomposition(cycles=cycles, component_of=component_of, component_sizes=sizes)
 
 
 def uniform_mapping(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -170,7 +165,12 @@ def repair(
 
 
 def validate(arb: Arborescence, instance: Instance) -> tuple[bool, list]:
-    """Structural and bookkeeping checks; diagnostics name each violation."""
+    """Structural and bookkeeping checks; diagnostics name each violation.
+
+    Reachability is one walk through ``decompose``, the root made a fixed
+    point: any cycle but the root's self-loop is an error, reported with the
+    first vertex outside the root's component and the cycle it runs into.
+    """
     n = instance.n
     diags = []
     parent = arb.parent
@@ -192,28 +192,14 @@ def validate(arb: Arborescence, instance: Instance) -> tuple[bool, list]:
     if diags:
         return False, diags
 
-    # memoized parent chase: each vertex is walked at most once overall
-    reaches_root = bytearray(n)
-    reaches_root[arb.root] = 1
-    for v in non_root:
-        if reaches_root[v]:
-            continue
-        path = []
-        u = v
-        while not reaches_root[u]:
-            path.append(u)
-            u = parent_list[u]
-            if len(path) > n:
-                # walk never reached the root: v sits on or below a cycle
-                cycle = [v]
-                u = parent_list[v]
-                while u != v and len(cycle) <= n:
-                    cycle.append(u)
-                    u = parent_list[u]
-                diags.append(f"cycle reachable from vertex {v}: {cycle[:8]}")
-                return False, diags
-        for w in path:
-            reaches_root[w] = 1
+    chains = parent.copy()
+    chains[arb.root] = arb.root
+    dec = decompose(chains)
+    if len(dec.cycles) > 1:
+        v = int(np.argmax(dec.component_of != dec.component_of[arb.root]))
+        cycle = dec.cycles[dec.component_of[v]]
+        diags.append(f"cycle reachable from vertex {v}: {cycle[:8]}")
+        return False, diags
 
     rows = np.asarray(non_root)
     w = float(instance.weights[rows, parent[rows]].sum())
@@ -370,6 +356,8 @@ def exact_mapping_oracle(instance: Instance, c0: float) -> Mapping:
     n = instance.n
     if n > _ORACLE_MAX_N:
         raise SizeLimitError(f"mapping oracle capped at n={_ORACLE_MAX_N}, got {n}")
+    if math.isnan(c0):
+        raise ValueError(f"c0 must be a number, got {c0}")
     totals = _enumerate_choice_sums(_edge_values(instance)[_choice_table(n)])
     feasible = totals.imag <= c0
     if not feasible.any():
@@ -425,6 +413,8 @@ def exact_arborescence_oracle(instance: Instance, c0: float) -> Arborescence:
     n = instance.n
     if n > _ORACLE_MAX_N:
         raise SizeLimitError(f"arborescence oracle capped at n={_ORACLE_MAX_N}, got {n}")
+    if math.isnan(c0):
+        raise ValueError(f"c0 must be a number, got {c0}")
     table = _arborescence_table(n)
     values = _edge_values(instance)
     totals = np.zeros(table.shape[1], dtype=complex)

@@ -13,7 +13,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -126,15 +126,7 @@ class ExperimentReport:
     warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "config": self.config,
-            "c0": self.c0,
-            "prediction": self.prediction,
-            "aggregates": self.aggregates,
-            "warnings": self.warnings,
-            "rows": self.rows,
-        }
+        return {"schema": SCHEMA_VERSION, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -299,12 +291,7 @@ class OracleSuiteReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "instances": self.instances,
-            "checks": self.checks,
-            "violations": self.violations,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 # Instances per block of the oracle suite. Each stage runs over a whole
@@ -328,6 +315,8 @@ def run_oracle_suite(count: int, n_range, seed: int) -> OracleSuiteReport:
     listed by index, and by check within an index, so the report does not
     depend on the block size or the stage order.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     n_values = sorted(n_range)
     if not n_values or n_values[0] < 2 or n_values[-1] > 7:
         raise ValueError(f"n_range must sit within [2, 7], got {n_values}")

@@ -187,12 +187,14 @@ class TestValidate:
         (0, [4, 0, 1, 2, 3], ["root 0 has parent 4"]),
         (3, [1, 2, 0, -1, 3], ["cycle reachable from vertex 0: [0, 1, 2]"]),
         (4, [1, 0, 4, 2, -1], ["cycle reachable from vertex 0: [0, 1]"]),
+        # the first stray vertex hangs on a tail: the cycle it runs into is named
+        (0, [-1, 2, 3, 2], ["cycle reachable from vertex 1: [2, 3]"]),
     ], ids=["out-of-range", "mixed", "self-parent", "root-parent", "root-and-self",
-            "root-parent-only", "cycle", "cycle-with-tail"])
+            "root-parent-only", "cycle", "cycle-with-tail", "tail-into-cycle"])
     @pytest.mark.parametrize("dtype", [np.int64, np.int32])
     def test_diagnostics_on_corrupted_parents(self, root, parent, diags, dtype):
         arb = Arborescence(root=root, parent=np.array(parent, dtype=dtype), weight=0.0, cost=0.0)
-        assert validate(arb, generate(5, 1.0, 3)) == (False, diags)
+        assert validate(arb, generate(len(parent), 1.0, 3)) == (False, diags)
 
 
 class TestEdmonds:
@@ -292,6 +294,12 @@ class TestOracles:
         inst = generate(2, 1.0, 8)
         arb = exact_arborescence_oracle(inst, 2.0)
         assert arb.weight == pytest.approx(min(inst.weights[0, 1], inst.weights[1, 0]))
+
+    @pytest.mark.parametrize("oracle", [exact_mapping_oracle, exact_arborescence_oracle])
+    def test_nan_budget_is_a_value_error(self, oracle):
+        # refused as every other entry point refuses it, not called infeasible
+        with pytest.raises(ValueError, match="c0 must be a number, got nan"):
+            oracle(generate(4, 1.0, 3), math.nan)
 
     def test_size_limit(self):
         inst = generate(8, 1.0, 0)
@@ -668,6 +676,64 @@ def _reference_lagrangian_arborescence(
             hi, lam_hi = tree, lam
 
 
+# Reference: validate as it was before it walked the parents with
+# decompose. Kept verbatim apart from the name.
+def _reference_validate(arb: Arborescence, instance: Instance) -> tuple[bool, list]:
+    """Structural and bookkeeping checks; diagnostics name each violation."""
+    n = instance.n
+    diags = []
+    parent = arb.parent
+    if parent.shape != (n,):
+        return False, [f"parent array has shape {parent.shape}, expected ({n},)"]
+    if not 0 <= arb.root < n:
+        diags.append(f"root {arb.root} out of range")
+        return False, diags
+    parent_list = parent.tolist()
+    if parent_list[arb.root] != -1:
+        diags.append(f"root {arb.root} has parent {parent_list[arb.root]}")
+    non_root = [v for v in range(n) if v != arb.root]
+    for v in non_root:
+        p = parent_list[v]
+        if not 0 <= p < n:
+            diags.append(f"vertex {v} has out-of-range parent {p}")
+        elif p == v:
+            diags.append(f"vertex {v} is its own parent")
+    if diags:
+        return False, diags
+
+    # memoized parent chase: each vertex is walked at most once overall
+    reaches_root = bytearray(n)
+    reaches_root[arb.root] = 1
+    for v in non_root:
+        if reaches_root[v]:
+            continue
+        path = []
+        u = v
+        while not reaches_root[u]:
+            path.append(u)
+            u = parent_list[u]
+            if len(path) > n:
+                # walk never reached the root: v sits on or below a cycle
+                cycle = [v]
+                u = parent_list[v]
+                while u != v and len(cycle) <= n:
+                    cycle.append(u)
+                    u = parent_list[u]
+                diags.append(f"cycle reachable from vertex {v}: {cycle[:8]}")
+                return False, diags
+        for w in path:
+            reaches_root[w] = 1
+
+    rows = np.asarray(non_root)
+    w = float(instance.weights[rows, parent[rows]].sum())
+    c = float(instance.costs[rows, parent[rows]].sum())
+    if abs(w - arb.weight) > 1e-9:
+        diags.append(f"weight field {arb.weight!r} != recomputed {w!r}")
+    if abs(c - arb.cost) > 1e-9:
+        diags.append(f"cost field {arb.cost!r} != recomputed {c!r}")
+    return (not diags), diags
+
+
 def _bits(a: Arborescence):
     return a.root, a.parent.dtype, a.parent.tolist(), a.weight.hex(), a.cost.hex()
 
@@ -688,8 +754,9 @@ def _mapping_or_error(oracle, inst, c0):
 
 
 class TestEqualsTheOldCode:
-    """The cycle search, both exhaustive oracles and Edmonds give what the
-    code they replaced gave, bit for bit (Edmonds on tie-free input)."""
+    """The cycle search, both exhaustive oracles, Edmonds and validate give
+    what the code they replaced gave, bit for bit (Edmonds on tie-free
+    input, validate unless the first stray vertex hangs on a tail)."""
 
     def test_cycle_search_is_the_colour_walk(self):
         rng = np.random.default_rng(8)
@@ -858,6 +925,59 @@ class TestEqualsTheOldCode:
                     scored = from_arrays(w + lam * c, c)
                     oracle = exact_arborescence_oracle(scored, math.inf)
                     assert score(arb) == score(oracle), n
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_validate_on_random_parents(self, dtype):
+        rng = np.random.default_rng(19)
+        inst = {n: generate(n, 1.0, n) for n in range(2, 61)}
+        seen = dict.fromkeys(["ok", "on-cycle", "on-tail", "other-fault"], 0)
+        for _ in range(1500):
+            n = int(rng.integers(2, 61))
+            root = int(rng.integers(n))
+            # a random tree: each vertex after the root picks an earlier one
+            order = np.concatenate([[root], rng.permutation(np.delete(np.arange(n), root))])
+            parent = np.full(n, -1, dtype=dtype)
+            for k in range(1, n):
+                parent[order[k]] = order[rng.integers(k)]
+            kind = rng.integers(6)
+            non_root = order[1:]
+            if kind == 1:  # a cycle, often with tails hanging off it
+                if n > 2:
+                    ring = rng.choice(non_root, size=int(rng.integers(2, n)), replace=False)
+                    parent[ring] = np.roll(ring, 1)
+            elif kind == 2:
+                v = rng.choice(non_root)
+                parent[v] = v
+            elif kind == 3:
+                parent[rng.choice(non_root)] = rng.choice([-1, -7, n, n + 5])
+            elif kind == 4:
+                parent[root] = rng.choice(non_root)
+            elif kind == 5:
+                root = int(rng.choice([-1, n, n + 3]))
+            rows = np.flatnonzero(np.arange(n) != root)
+            edges = rows, np.clip(parent[rows], 0, n - 1)
+            weight, cost = float(inst[n].weights[edges].sum()), float(inst[n].costs[edges].sum())
+            if rng.random() < 0.1:
+                weight += 1.0
+            arb = Arborescence(root=root, parent=parent, weight=weight, cost=cost)
+            got, ref = validate(arb, inst[n]), _reference_validate(arb, inst[n])
+            if got == ref:
+                on_cycle = not ref[0] and ref[1][-1].startswith("cycle")
+                seen["ok" if ref[0] else "on-cycle" if on_cycle else "other-fault"] += 1
+                continue
+            # the first stray vertex hangs on a tail: the new diagnostic
+            # names the decompose cycle of that vertex's component
+            chains = parent.copy()
+            chains[root] = root
+            dec = decompose(chains)
+            v = int(np.flatnonzero(dec.component_of != dec.component_of[root])[0])
+            cycle = dec.cycles[dec.component_of[v]]
+            assert v not in cycle, (root, parent)
+            assert ref[0] is False and len(ref[1]) == 1
+            assert ref[1][0].startswith(f"cycle reachable from vertex {v}: ")
+            assert got == (False, [f"cycle reachable from vertex {v}: {cycle[:8]}"])
+            seen["on-tail"] += 1
+        assert min(seen.values()) > 50, seen
 
 
 def _choice_digits(parents: np.ndarray, root: int) -> np.ndarray:

@@ -147,7 +147,7 @@ class TestGamma:
         mpmath.mp.dps = 30
         for x in [0.05, 0.3, 0.77, 1.0, 2.5, 7.7, 19.3, 50.0]:
             exact = float(mpmath.gamma(x))
-            assert abs(gamma_fn(x) - exact) / exact < 1e-10
+            assert abs(gamma_fn(x) - exact) / exact < 1e-14
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -164,6 +164,16 @@ class TestCs:
         expected = gamma_fn(1.25) * 6.0**0.25
         assert abs(c_s(0.5) - expected) < 1e-12
         assert abs(c_s(0.5) - 1.41869) < 1e-4
+
+    def test_against_high_precision(self):
+        # the s < 1 target C_s^2 n^(2-s) / (4 c0) carries this error twice
+        with mpmath.workdps(30):
+            for s in [k / 50 for k in range(1, 51)]:
+                t = mpmath.mpf(s)
+                exact = mpmath.gamma(t / 2 + 1) * (
+                    mpmath.gamma(2 / t + 1) / mpmath.gamma(1 / t + 1) ** 2
+                ) ** (t / 2)
+                assert abs(c_s(s) - float(exact)) / float(exact) < 4e-15, s
 
     def test_small_s_stays_finite(self):
         assert math.isfinite(c_s(0.01))

@@ -65,6 +65,12 @@ class TestUsageErrors:
         assert out == ""
         assert "finite" in err
 
+    def test_negative_oracle_count(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--count", "-5")
+        assert code == 2
+        assert out == ""
+        assert "count must be nonnegative" in err
+
     @pytest.mark.parametrize("command", ["solve", "experiment"])
     @pytest.mark.parametrize("tighten", ["7.5", "-3"])
     def test_tighten_is_a_usage_error(self, capsys, command, tighten):

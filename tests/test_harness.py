@@ -196,6 +196,13 @@ class TestOracleSuite:
         assert len(calls) == 108
         assert report.passed, report.violations
 
+    def test_rejects_a_negative_count(self):
+        with pytest.raises(ValueError, match="count must be nonnegative, got -5"):
+            run_oracle_suite(-5, (4, 5, 6), seed=0)
+        assert run_oracle_suite(0, (4, 5, 6), seed=0).to_dict() == {
+            "instances": 0, "checks": 0, "violations": [], "passed": True
+        }
+
     def test_an_invalid_pipeline_tree_raises(self, monkeypatch):
         # vertices 1 and 2 point at each other: the pipeline's own validation
         # raises AssertionError, which the suite does not record but passes on
@@ -382,7 +389,7 @@ class TestFrozenOutputs:
         (1.0, BudgetSpec("absolute", 2.0),
          "8c7da0fc002949b0d2b277af29679dd37bbbe8952be8ee7c595504f9a9edac90"),
         (0.5, BudgetSpec("power", 0.75),
-         "143f07fe01c607f0b60050dcb3b62b405e8f8fe86bb64c56ad46f112c1476356"),
+         "849e4ae86c1df1f4bcec1bfb3b7cfadbe68bf6bcd5a8d8a62003a69f2def0bd1"),
     ], ids=["CASE1", "CASE2", "CASE3", "THEOREM2"])
     def test_experiment_report(self, s, budget, digest):
         config = ExperimentConfig(n=600, s=s, trials=3, base_seed=11, budget=budget)
