@@ -23,6 +23,7 @@ from .asymptotics import (
     g_eval,
     g_prime,
     gamma_fn,
+    lambda_hint,
     predict,
 )
 from .dual import (

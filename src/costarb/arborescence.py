@@ -527,7 +527,6 @@ def solve_constrained_arborescence(instance: Instance, c0: float) -> PipelineRes
         "slack_used": arb.cost - solution.mapping.cost,
         "dual_full_evaluations": opt.full_evaluations,
         "dual_candidate_evaluations": opt.candidate_evaluations,
-        "dual_sample_evaluations": opt.sample_evaluations,
         "dual_candidate_width": opt.candidate_width,
         "edmonds_calls": edmonds_calls,
     }

@@ -203,6 +203,34 @@ class Prediction:
         return asdict(self)
 
 
+def _check_model(n: int, c0: float, s: float) -> None:
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+    if not 0.0 < c0 < math.inf:
+        raise ValueError(f"c0 must be positive and finite, got {c0}")
+    if not 0.0 < s <= 1.0:
+        raise ValueError(f"s must lie in (0, 1], got {s}")
+
+
+def lambda_hint(n: int, c0: float, s: float = 1.0) -> float:
+    """The paper's dual maximiser lambda* for (n, c0, s), or 0.0 without one.
+
+    For s < 1 it is C_s**2 * n**(2-s) / (4*c0**2) at every budget, also
+    outside predict's band (inf if c0**2 underflows). For s = 1 it is
+    predict's lambda_star_hint, and 0.0 where predict raises
+    AmbiguousRegimeError or has no hint. Raises ValueError on the inputs
+    predict rejects.
+    """
+    _check_model(n, c0, s)
+    if s < 1.0:
+        cs = c_s(s)
+        return cs * cs * n ** (2.0 - s) / (4.0 * c0 * c0) if c0 * c0 > 0.0 else math.inf
+    try:
+        return predict(n, c0, s).lambda_star_hint or 0.0
+    except AmbiguousRegimeError:
+        return 0.0
+
+
 def predict(n: int, c0: float, s: float = 1.0) -> Prediction:
     """Classify (n, c0, s) into a regime and emit its predicted optimum.
 
@@ -214,12 +242,7 @@ def predict(n: int, c0: float, s: float = 1.0) -> Prediction:
     slack case; alpha = 1 (constant budgets) is genuinely uncovered and
     raises AmbiguousRegimeError, as do s < 1 budgets outside the band.
     """
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if not 0.0 < c0 < math.inf:
-        raise ValueError(f"c0 must be positive and finite, got {c0}")
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s must lie in (0, 1], got {s}")
+    _check_model(n, c0, s)
     log_n = math.log(n)
 
     if s < 1.0:
@@ -232,8 +255,7 @@ def predict(n: int, c0: float, s: float = 1.0) -> Prediction:
             )
         cs = c_s(s)
         w = cs * cs * n ** (2.0 - s) / (4.0 * c0)
-        lam = cs * cs * n ** (2.0 - s) / (4.0 * c0 * c0)
-        return Prediction("THEOREM2", n, c0, s, w_star=w, lambda_star_hint=lam)
+        return Prediction("THEOREM2", n, c0, s, w_star=w, lambda_star_hint=lambda_hint(n, c0, s))
 
     alpha_n = c0 / n
     if alpha_n >= 1.0 / log_n:

@@ -24,16 +24,13 @@ scans the whole n x n matrix. Stages 1 and 3 (``_bracket``, ``_meet``) take
 any evaluator: the arborescence fallback runs them on Edmonds' trees.
 
 1. Full evaluations find a bracket [a, b] with subgradient > 0 at a and
-   <= 0 at b. The per-row terms of phi concentrate, so a set of at least
-   256 rows first runs the same three stages on every eighth of its rows,
-   at their own cheapest cost plus the budget's headroom scaled to their
-   number; that sample takes its start from every eighth of its rows in
-   turn while it has 256 of them. The sample's maximiser lam^ puts b at
-   1.5*lam^ and a at lam^/1.5. Without such an estimate b starts at
-   n log n and a at b/8. An end with the wrong sign steps outward by a
-   factor of 8, one pass per step, which ``_PhiEvaluator.ends`` makes.
-   The estimate only picks where the full passes look: every bracket is
-   confirmed by them.
+   <= 0 at b. From n = 256 on, the paper's closed-form maximiser lam^
+   (``asymptotics.lambda_hint``, which assumes the model's U**s scale)
+   puts b at 1.5*lam^ and a at lam^/1.5. Below 256, or without a hint,
+   b starts at n log n and a at b/8. An end with the wrong sign steps
+   outward by a factor of 8, one pass per step, which
+   ``_PhiEvaluator.ends`` makes. The hint only picks where the full
+   passes look: every bracket is confirmed by them.
 2. Each row keeps as candidates the columns j with fl(W + a*C) <= its
    minimum at b, collected in the pass at a once the block's minima at b
    are known. Rounding is monotone and costs are nonnegative, so every
@@ -60,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import lambda_hint
 from .errors import InfeasibleBudgetError
 from .instance import _ROW_BLOCK, Instance, _in_row_chunks, _row_minima
 
@@ -69,15 +67,13 @@ _LAMBDA_OVERFLOW_GUARD = 1e30
 _BRACKET_FACTOR = 8.0
 # Relative lower end of the downward bracket search.
 _BRACKET_FLOOR = 1e-10
-# The row sample: a set of at least _SAMPLE_MIN_N scanned rows takes its
-# start from every _SAMPLE_STRIDE-th of its own rows, which may be sampled
-# in turn. The sample's maximiser, widened by _SAMPLE_MARGIN each way, is
-# the first guess at the bracket.
-_SAMPLE_STRIDE = 8
-_SAMPLE_MIN_N = 256
-_SAMPLE_MARGIN = 1.5
-# A full pass runs in row chunks on threads from this many scanned entries
-# (rows times n) on: below it, starting threads costs more than they save.
+# From _HINT_MIN_N rows on, the paper's maximiser, widened by _HINT_MARGIN
+# each way, is the first guess at the bracket. Below it the search from
+# n log n makes fewer passes.
+_HINT_MIN_N = 256
+_HINT_MARGIN = 1.5
+# A full pass runs in row chunks on threads from this many entries (n*n) on:
+# below it, starting threads costs more than they save.
 _THREADED_MIN_ENTRIES = 1 << 22
 
 
@@ -107,10 +103,8 @@ class DualOptimum:
 
     The counters are deterministic: n x n evaluations (a pass at both
     bracket ends counts two), evaluations on the per-row candidate
-    columns, the padded number of candidates per row (0 when none were
-    built), and the evaluations, of either kind, on the row sample that
-    gave the bracket search its start and on that sample's own samples
-    (0 when none ran).
+    columns, and the padded number of candidates per row (0 when none
+    were built).
     """
 
     lambda_star: float
@@ -120,7 +114,6 @@ class DualOptimum:
     full_evaluations: int
     candidate_evaluations: int
     candidate_width: int
-    sample_evaluations: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,25 +147,20 @@ def make_mapping(instance: Instance, f: np.ndarray) -> Mapping:
 class _PhiEvaluator:
     """Dual evaluations on one instance, counted by kind.
 
-    The evaluator scans rows 0, stride, 2*stride, ... only: stride 1 is the
-    whole instance, a larger stride a fixed sample of its rows, whose
-    mappings and totals cover those rows alone. A full evaluation scans
-    W + lam*C block by block of those rows, each chunk of rows through its
-    own buffer. Once ``keep_candidates`` has run, ``at`` scans
-    only each row's candidate columns, with the same arithmetic and the
-    same gather-and-sum, so it returns the full evaluation bit for bit at
-    any lam in the bracket the candidates were collected for.
+    A full evaluation scans W + lam*C block by block of rows, each chunk of
+    rows through its own buffer. Once ``keep_candidates`` has run, ``at``
+    scans only each row's candidate columns, with the same arithmetic and
+    the same gather-and-sum, so it returns the full evaluation bit for bit
+    at any lam in the bracket the candidates were collected for.
     """
 
-    def __init__(self, instance: Instance, c0: float, stride: int = 1):
+    def __init__(self, instance: Instance, c0: float):
         self.instance = instance
         self.c0 = c0
-        self.stride = stride
-        self.rows = np.arange(0, instance.n, stride)
+        self.rows = np.arange(instance.n)
         self.full_evaluations = 0
         self.candidate_evaluations = 0
         self.candidate_width = 0
-        self.sample_evaluations = 0
         self._held = {}  # the last ends' a: its evaluation and row minima
 
     def _evaluation(self, lam: float, f, weight, cost) -> DualEvaluation:
@@ -182,11 +170,11 @@ class _PhiEvaluator:
         )
 
     def _scan(self, t0: int, t1: int, lams, f, minima, minima_above) -> list:
-        """Scanned rows [t0, t1), block by block: W + lam*C with its +inf
+        """Rows [t0, t1), block by block: W + lam*C with its +inf
         diagonal for each lam in turn, each row's argmin and minimum into
         ``f`` and ``minima``, and, against ``minima_above``, the candidates
         of the last lam. Returns the candidates' flat indices per block."""
-        inst, stride = self.instance, self.stride
+        inst = self.instance
         n = inst.n
         buf = np.empty((min(t1 - t0, _ROW_BLOCK), n))
         found = []
@@ -195,15 +183,13 @@ class _PhiEvaluator:
         with np.errstate(invalid="ignore"):
             for b0 in range(t0, t1, _ROW_BLOCK):
                 b1 = min(b0 + _ROW_BLOCK, t1)
-                # a basic slice: a view of the instance's rows, not a copy
-                rows = slice(b0 * stride, (b1 - 1) * stride + 1, stride)
-                costs, weights = inst.costs[rows], inst.weights[rows]
+                costs, weights = inst.costs[b0:b1], inst.weights[b0:b1]
                 scores = buf[: b1 - b0]
                 for k, lam in enumerate(lams):
                     np.multiply(costs, lam, out=scores)
                     scores += weights
-                    # entries (t, (b0 + t)*stride): row t's own column
-                    scores.reshape(-1)[b0 * stride :: n + stride] = np.inf
+                    # entries (t, b0 + t): row t's own column
+                    scores.reshape(-1)[b0 :: n + 1] = np.inf
                     _row_minima(scores, f[k, b0:b1], minima[k, b0:b1])
                 if minima_above is not None:
                     mask = scores <= minima_above[b0:b1, None]
@@ -211,21 +197,21 @@ class _PhiEvaluator:
         return found
 
     def _pass(self, lams, minima_above):
-        """One pass over the scanned rows: the evaluation and the row minima
+        """One pass over the rows: the evaluation and the row minima
         at each lam, plus the candidates of the last lam against
         ``minima_above`` (None: not collected). Large passes run in row
         chunks on threads; the candidates are joined in row order, so
         their flat indices ascend."""
         inst, rows = self.instance, self.rows
-        m = len(rows)
-        f = np.empty((len(lams), m), dtype=np.intp)
-        minima = np.empty((len(lams), m))
+        n = inst.n
+        f = np.empty((len(lams), n), dtype=np.intp)
+        minima = np.empty((len(lams), n))
         if minima_above is None and len(lams) > 1:
             # filled block by block before the last lam's scan reads it
             minima_above = minima[-2]
         chunks = _in_row_chunks(
             lambda t0, t1: self._scan(t0, t1, lams, f, minima, minima_above),
-            m, m * inst.n >= _THREADED_MIN_ENTRIES,
+            n, n * n >= _THREADED_MIN_ENTRIES,
         )
         self.full_evaluations += len(lams)
         found = [block for chunk in chunks for block in chunk]
@@ -245,32 +231,28 @@ class _PhiEvaluator:
     def ends(self, a: float, b: float) -> tuple[DualEvaluation, DualEvaluation]:
         """The evaluations at bracket ends a < b. The pass at a collects the
         candidates for [a, b] (stage 2 of the module docstring) as flat
-        indices row * n + column, rows counted among the scanned ones, and
-        keeps them for ``keep_candidates``.
+        indices row * n + column and keeps them for ``keep_candidates``.
 
         One pass scans each block of rows at b and then, still in cache, at
         a. If b was the last call's a, its evaluation and row minima are
-        held and a is scanned alone. With a fresh b, a = 0 is read off
-        ``at_zero``, and ``keep_candidates`` collects its candidates.
+        held and a is scanned alone.
         """
         held = self._held.get(b)
-        lams = (a,) if held else ((b, a) if a else (b,))
-        evaluations, minima, self._found = self._pass(lams, held[1] if held else None)
-        e_b, self._minima_b = held or (evaluations[0], minima[0])
-        if lams[-1] != a:
-            return self.at_zero(), e_b
-        self._held = {a: (evaluations[-1], minima[-1])}
-        return evaluations[-1], e_b
+        if held:
+            [e_a], minima, self._found = self._pass((a,), held[1])
+            e_b = held[0]
+        else:
+            (e_b, e_a), minima, self._found = self._pass((b, a), None)
+        self._held = {a: (e_a, minima[-1])}
+        return e_a, e_b
 
     def at_zero(self) -> DualEvaluation:
-        """The evaluation at lam = 0, read from each scanned row's lightest
-        edge, which the instance holds, with no pass: 0*C adds exactly +0
-        off the diagonal, so it is the full evaluation's bit for bit."""
-        inst, rows = self.instance, self.rows
-        f = inst.cheapest_weights[0][rows]
-        return self._evaluation(
-            0.0, f, inst.cheapest_weights[1][rows].sum(), inst.costs[rows, f].sum()
-        )
+        """The evaluation at lam = 0, read from each row's lightest edge,
+        which the instance holds, with no pass: 0*C adds exactly +0 off the
+        diagonal, so it is the full evaluation's bit for bit."""
+        inst = self.instance
+        f, weights = inst.cheapest_weights
+        return self._evaluation(0.0, f, weights.sum(), inst.costs[self.rows, f].sum())
 
     def keep_candidates(self) -> None:
         """Use the candidates of the last ``ends`` as each row's columns.
@@ -280,20 +262,17 @@ class _PhiEvaluator:
         W = inf, C = 0.
         """
         inst = self.instance
-        if self._found is None:  # a = 0 had no pass
-            self._found = self._pass((0.0,), self._minima_b)[2]
-        m = len(self.rows)
-        t, cols = np.divmod(self._found, inst.n)
+        m = inst.n
+        t, cols = np.divmod(self._found, m)
         counts = np.bincount(t, minlength=m)
         slot = np.arange(len(t)) - (np.cumsum(counts) - counts)[t]
         k = int(counts.max())
-        rows = self.rows[t]
         self._cand_cols = np.zeros((m, k), dtype=np.intp)
         self._cand_w = np.full((m, k), np.inf)
         self._cand_c = np.zeros((m, k))
         self._cand_cols[t, slot] = cols
-        self._cand_w[t, slot] = inst.weights[rows, cols]
-        self._cand_c[t, slot] = inst.costs[rows, cols]
+        self._cand_w[t, slot] = inst.weights[t, cols]
+        self._cand_c[t, slot] = inst.costs[t, cols]
         self._cand_buf = np.empty((m, k))
         self._cand_offsets = np.arange(m) * k
         self.candidate_width = k
@@ -313,10 +292,10 @@ class _PhiEvaluator:
         differ, so that the totals' rounding does not swamp the differences."""
         low, high = e_lo.argmin, e_hi.argmin
         d = np.flatnonzero(low.f != high.f)
-        rows, f_low, f_high = self.rows[d], low.f[d], high.f[d]
+        f_low, f_high = low.f[d], high.f[d]
         weights, costs = self.instance.weights, self.instance.costs
-        dw = weights[rows, f_high] - weights[rows, f_low]
-        dc = costs[rows, f_low] - costs[rows, f_high]
+        dw = weights[d, f_high] - weights[d, f_low]
+        dc = costs[d, f_low] - costs[d, f_high]
         return float(dw.sum() / dc.sum())
 
 
@@ -342,9 +321,9 @@ def maximize_dual(instance: Instance, c0: float) -> DualOptimum:
     """Maximise phi(., c0) exactly: the maximiser is a breakpoint of phi.
 
     If the unconstrained weight-minimal mapping already fits the budget the
-    maximiser is lambda=0. Otherwise a bracket, started from the maximiser of
-    a row sample's dual when n is large enough and confirmed by full
-    evaluations, is narrowed by meeting the two bracket mappings' lines on
+    maximiser is lambda=0. Otherwise a bracket, started from the paper's
+    maximiser when n is large enough and confirmed by full evaluations, is
+    narrowed by meeting the two bracket mappings' lines on
     the per-row candidate columns (see the module docstring) until the
     argmin where they meet is one of the two. Raises InfeasibleBudgetError
     when even the per-row cost-minimal mapping exceeds c0, and ValueError
@@ -355,40 +334,45 @@ def maximize_dual(instance: Instance, c0: float) -> DualOptimum:
     evaluations of each kind were made.
     """
     _check_budget(c0)
-    return _solve_dual(_PhiEvaluator(instance, c0))
+    cheapest = min_cost_sum(instance)
+    if cheapest > c0:
+        raise InfeasibleBudgetError(
+            f"cheapest mapping costs {cheapest:.6g} > budget {c0:.6g}"
+        )
 
+    evaluate = _PhiEvaluator(instance, c0)
+    e_lo = e_hi = evaluate.at_zero()
+    lam = 0.0
+    if e_lo.subgradient > 0:
+        # 1. Full evaluations start at b = 1.5 and a = 1/1.5 times the
+        # paper's maximiser or, without one, at b = n log n and a = b/8.
+        n = instance.n
+        ceiling = _lambda_ceiling(n)
+        hint = lambda_hint(n, c0, instance.s) if n >= _HINT_MIN_N else 0.0
+        if 0.0 < hint < ceiling:
+            b = min(hint * _HINT_MARGIN, ceiling)
+            below = hint / _HINT_MARGIN
+        else:
+            b = n * math.log(n)
+            below = b / _BRACKET_FACTOR
+        e_lo, e_hi = _bracket(evaluate, below, b)
+        # 2. and 3.: the lines meet on the candidates for [a, b]
+        evaluate.keep_candidates()
+        lam, e_lo, e_hi = _meet(evaluate, e_lo, e_hi)
 
-def _sample_estimate(evaluate: _PhiEvaluator, cheapest: float) -> float:
-    """The maximiser of the dual of every _SAMPLE_STRIDE-th row that
-    ``evaluate`` scans, or 0 when that dual has none above 0. The sample's
-    budget is its own cheapest cost plus the headroom c0 - ``cheapest``
-    scaled to its number of rows, so it is never infeasible. The sample may
-    be sampled in turn; ``evaluate`` counts the evaluations of every level.
-    It is only a start for the bracket search, so it never raises."""
-    instance = evaluate.instance
-    stride = evaluate.stride * _SAMPLE_STRIDE
-    m = len(range(0, instance.n, stride))
-    headroom = (evaluate.c0 - cheapest) * m / len(evaluate.rows)
-    sample = _PhiEvaluator(instance, _cheapest_sum(instance, stride) + headroom, stride)
-    try:
-        estimate = _solve_dual(sample).lambda_star
-    except ArithmeticError:
-        estimate = 0.0
-    evaluate.sample_evaluations = (
-        sample.full_evaluations + sample.candidate_evaluations + sample.sample_evaluations
+    return DualOptimum(
+        lambda_star=lam, phi_star=_line(e_hi.argmin, lam, c0),
+        mapping_low=e_lo.argmin, mapping_high=e_hi.argmin,
+        full_evaluations=evaluate.full_evaluations,
+        candidate_evaluations=evaluate.candidate_evaluations,
+        candidate_width=evaluate.candidate_width,
     )
-    return estimate
-
-
-def _cheapest_sum(instance: Instance, stride: int) -> float:
-    """The cheapest cost of a mapping of every stride-th row."""
-    return float(instance.cheapest_costs[1][::stride].sum())
 
 
 def _lambda_ceiling(n: int) -> float:
     """The last doubling of n log n within the overflow guard: the bracket
     search gives up above it, whatever its start, so whether it raises
-    ArithmeticError does not depend on the row sample."""
+    ArithmeticError does not depend on the hint."""
     ceiling = n * math.log(n)
     while ceiling * 2.0 <= _LAMBDA_OVERFLOW_GUARD:
         ceiling *= 2.0
@@ -436,45 +420,6 @@ def _meet(evaluate, e_lo: DualEvaluation, e_hi: DualEvaluation):
                 e_lo = e
             else:
                 e_hi = e
-
-
-def _solve_dual(evaluate: _PhiEvaluator) -> DualOptimum:
-    """Maximise the dual of the rows ``evaluate`` scans."""
-    c0 = evaluate.c0
-    cheapest = _cheapest_sum(evaluate.instance, evaluate.stride)
-    if cheapest > c0:
-        raise InfeasibleBudgetError(
-            f"cheapest mapping costs {cheapest:.6g} > budget {c0:.6g}"
-        )
-
-    e_lo = e_hi = evaluate.at_zero()
-    lam = 0.0
-    if e_lo.subgradient > 0:
-        # 1. Full evaluations start at b = 1.5 and a = 1/1.5 times the row
-        # sample's maximiser or, without one, at b = n log n and a = b/8.
-        n = evaluate.instance.n
-        estimate = 0.0
-        if len(evaluate.rows) >= _SAMPLE_MIN_N:
-            estimate = _sample_estimate(evaluate, cheapest)
-        if estimate > 0:
-            b = min(estimate * _SAMPLE_MARGIN, _lambda_ceiling(n))
-            below = estimate / _SAMPLE_MARGIN
-        else:
-            b = n * math.log(n)
-            below = b / _BRACKET_FACTOR
-        e_lo, e_hi = _bracket(evaluate, below, b)
-        # 2. and 3.: the lines meet on the candidates for [a, b]
-        evaluate.keep_candidates()
-        lam, e_lo, e_hi = _meet(evaluate, e_lo, e_hi)
-
-    return DualOptimum(
-        lambda_star=lam, phi_star=_line(e_hi.argmin, lam, c0),
-        mapping_low=e_lo.argmin, mapping_high=e_hi.argmin,
-        full_evaluations=evaluate.full_evaluations,
-        candidate_evaluations=evaluate.candidate_evaluations,
-        candidate_width=evaluate.candidate_width,
-        sample_evaluations=evaluate.sample_evaluations,
-    )
 
 
 def solve_mapping(instance: Instance, c0: float) -> MappingSolution:

@@ -208,13 +208,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 f"w_max_used exceeded 20*(1+lambda*)*sqrt(log n/n) by up to {worst:.4g}"
             )
 
-    config_dict = {
-        "n": config.n,
-        "s": config.s,
-        "trials": config.trials,
-        "base_seed": config.base_seed,
-        "budget": {"kind": config.budget.kind, "value": config.budget.value},
-    }
+    # parallelism only changes wall time, so the report leaves it out
+    config_dict = asdict(config)
+    del config_dict["parallelism"]
     return ExperimentReport(
         config=config_dict, c0=c0, prediction=prediction,
         rows=rows, aggregates=aggregates, warnings=warnings,
@@ -243,14 +239,9 @@ class ExpectationReport:
     rel_deviation: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "lambda": self.lam, "s": self.s,
-            "repetitions": self.repetitions,
-            "empirical_mean": self.empirical_mean,
-            "predicted": self.predicted,
-            "regime": self.regime,
-            "rel_deviation": self.rel_deviation,
-        }
+        d = asdict(self)
+        d["lambda"] = d.pop("lam")
+        return d
 
 
 def run_expectation_check(

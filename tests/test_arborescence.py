@@ -163,11 +163,15 @@ class TestValidate:
         ok, diags = validate(arb, worked)
         assert not ok
         assert any("weight" in d for d in diags)
+        arb = Arborescence(root=2, parent=np.array([1, 2, -1]), weight=0.30, cost=1.45)
+        assert validate(arb, worked) == (False, ["cost field 1.45 != recomputed 1.4"])
 
     def test_detects_bad_parent_values(self, worked):
         arb = Arborescence(root=2, parent=np.array([0, 2, -1]), weight=0.0, cost=0.0)
         ok, diags = validate(arb, worked)
         assert not ok and any("own parent" in d for d in diags)
+        arb = Arborescence(root=1, parent=np.array([1, -1]), weight=0.0, cost=0.0)
+        assert validate(arb, worked) == (False, ["parent array has shape (2,), expected (3,)"])
 
     def test_accepts_good_tree(self, worked):
         arb = Arborescence(root=2, parent=np.array([1, 2, -1]), weight=0.30, cost=1.40)

@@ -14,6 +14,7 @@ from costarb import (
     g_eval,
     g_prime,
     gamma_fn,
+    lambda_hint,
     predict,
 )
 
@@ -237,6 +238,11 @@ class TestExpectedMin:
             expected_min(10_000, 1e-6, 0.5)
         with pytest.raises(LambdaRangeError):
             expected_min(10_000, 1e4, 0.5)
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            expected_min(1, 1.0, 0.5)
+        for s in (0.0, 1.5):
+            with pytest.raises(ValueError, match="s must lie in"):
+                expected_min(10_000, 1.0, s)
 
     @pytest.mark.parametrize("s", [1.0, 0.5])
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
@@ -301,6 +307,22 @@ class TestPredict:
         assert abs((g_eval(b) - alpha * b) - math.pi / (8 * alpha)) / (
             math.pi / (8 * alpha)
         ) < 0.02
+
+    def test_lambda_hint(self):
+        # predict's hint wherever predict gives one, bit for bit
+        for n, c0, s in ((3000, math.sqrt(3000), 1.0), (2000, 600.0, 1.0),
+                         (2000, 2.0, 1.0), (2000, 2000**0.75, 0.5)):
+            assert lambda_hint(n, c0, s) == predict(n, c0, s).lambda_star_hint
+        # 0.0 where predict has none: slack, infeasible and ambiguous budgets
+        for c0 in (600.0, 0.8, 1.0):
+            assert lambda_hint(1000, c0) == 0.0
+        # for s < 1 the closed form holds off predict's band too, and c0**2
+        # underflowing to 0 gives inf, not ZeroDivisionError
+        assert lambda_hint(2000, 5.0, 0.5) == c_s(0.5) ** 2 * 2000**1.5 / (4 * 5.0 * 5.0)
+        assert lambda_hint(2000, 1e-170, 0.5) == math.inf
+        for n, c0, s in ((1, 5.0, 0.5), (100, 0.0, 0.5), (100, math.nan, 0.5), (100, 5.0, 0.0)):
+            with pytest.raises(ValueError):
+                lambda_hint(n, c0, s)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

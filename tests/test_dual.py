@@ -21,6 +21,7 @@ from costarb import (
     exact_mapping_oracle,
     from_arrays,
     generate,
+    lambda_hint,
     make_mapping,
     maximize_dual,
     min_cost_sum,
@@ -76,27 +77,10 @@ class TestPhi:
     def test_rejects_negative_lambda(self, worked):
         with pytest.raises(ValueError):
             phi(worked, -0.1, 1.0)
-
-    @pytest.mark.parametrize("n", [9, 600])
-    def test_row_sample_is_the_full_scan_restricted(self, n):
-        # Every eighth row, over several row blocks at n=600: the argmins,
-        # row minima and candidates of the full scan on those rows, bit for
-        # bit, lam = 0 (where the diagonal must be set, not computed)
-        # included.
-        inst = generate(n, 0.6, 2)
-        whole = dual_module._PhiEvaluator(inst, 1.0)
-        sample = dual_module._PhiEvaluator(inst, 1.0, 8)
-        rows = np.arange(0, n, 8)
-        assert sample.rows.tolist() == rows.tolist()
-        for lam, b in ((0.0, 0.5), (0.5, 2.0), (3.0, 3.0)):
-            minima_b = whole.full(b)[1]
-            [e], [minima], found = whole._pass((lam,), minima_b)
-            [e_s], [minima_s], found_s = sample._pass((lam,), minima_b[rows])
-            assert e_s.argmin.f.tolist() == e.argmin.f[rows].tolist()
-            assert minima_s.tobytes() == minima[rows].tobytes()
-            kept = np.isin(found // n, rows)
-            t, cols = np.divmod(found_s, n)
-            assert (rows[t] * n + cols).tolist() == found[kept].tolist()
+        # nor does make_mapping take a mapping that is not one
+        for f in ([1, 1, 0], [1, 3, 0]):
+            with pytest.raises(ValueError, match="different vertex"):
+                make_mapping(worked, f)
 
 
 class TestMaximizeDual:
@@ -342,6 +326,8 @@ class TestConcentration:
     def test_lambda_range_enforced(self):
         with pytest.raises(ValueError):
             empirical_concentration(100, 1.0, 1e6, trials=2, seed=0)
+        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+            empirical_concentration(100, 1.0, 1.0, trials=0, seed=0)
 
 
 # Reference: the plain bisection that evaluates every point on the full n x n
@@ -473,14 +459,14 @@ def _breakpoint_maximum(inst, c0):
 
 
 _SHIPPED_BRACKET_FACTOR = dual_module._BRACKET_FACTOR
-_SHIPPED_SAMPLE_MIN_N = dual_module._SAMPLE_MIN_N
+_SHIPPED_HINT_MIN_N = dual_module._HINT_MIN_N
 
 
 def _apply_variant(monkeypatch, variant):
-    """A bracket factor other than the shipped one, or "unsampled": no row
-    sample at any n, so the bracket search starts at n log n."""
-    if variant == "unsampled":
-        monkeypatch.setattr(dual_module, "_SAMPLE_MIN_N", sys.maxsize)
+    """A bracket factor other than the shipped one, or "unhinted": no hint
+    at any n, so the bracket search starts at n log n."""
+    if variant == "unhinted":
+        monkeypatch.setattr(dual_module, "_HINT_MIN_N", sys.maxsize)
     elif variant is not None:
         monkeypatch.setattr(dual_module, "_BRACKET_FACTOR", variant)
 
@@ -491,12 +477,12 @@ class TestReplayEquality:
     The bisection stops at a width of 1e-10 * (1 + hi) around the maximiser;
     the exact maximiser must land inside that bracket with the same two
     mappings and at least the same phi, up to rounding. Bracket factors 3
-    and 32 move the bracket ends off the shipped factor's, and "unsampled"
-    starts every bracket search at n log n instead of at the row sample's
-    estimate; lambda* and the mappings must not change with either.
+    and 32 move the bracket ends off the shipped factor's, and "unhinted"
+    starts every bracket search at n log n instead of at the paper's
+    maximiser; lambda* and the mappings must not change with either.
     """
 
-    @pytest.fixture(params=[None, 3.0, 32.0, "unsampled"])
+    @pytest.fixture(params=[None, 3.0, 32.0, "unhinted"])
     def bracket_variant(self, request, monkeypatch):
         _apply_variant(monkeypatch, request.param)
         return request.param
@@ -521,7 +507,7 @@ class TestReplayEquality:
         for bit."""
         with pytest.MonkeyPatch.context() as m:
             m.setattr(dual_module, "_BRACKET_FACTOR", _SHIPPED_BRACKET_FACTOR)
-            m.setattr(dual_module, "_SAMPLE_MIN_N", _SHIPPED_SAMPLE_MIN_N)
+            m.setattr(dual_module, "_HINT_MIN_N", _SHIPPED_HINT_MIN_N)
             shipped = _solve(maximize_dual, inst, c0)
         if isinstance(shipped, type):
             assert opt is shipped, (inst.n, c0)
@@ -541,12 +527,15 @@ class TestReplayEquality:
                     self.assert_same_as_shipped(inst, c0, opt)
 
     @pytest.mark.parametrize("n", [300, 1000])
-    @pytest.mark.parametrize("s", [1.0, 0.6])
+    @pytest.mark.parametrize("s", [1.0, 0.6, 0.5])
     def test_regimes(self, n, s):
+        # 0.45n, 0.5n and 1.02 * min_cost_sum lie outside predict's s < 1
+        # band, where the hint is still C_s^2 n^(2-s) / (4 c0^2).
         inst = generate(n, s, 1)
-        for c0 in (math.sqrt(n), 0.2 * n, 3.0, 0.6 * n, min_cost_sum(inst)):
+        low = min_cost_sum(inst)
+        for c0 in (math.sqrt(n), 0.2 * n, 3.0, 0.45 * n, 0.5 * n, 0.6 * n, low, 1.02 * low):
             self.assert_matches_reference(inst, c0)
-            for variant in (3.0, 32.0, "unsampled"):
+            for variant in (3.0, 32.0, "unhinted"):
                 with pytest.MonkeyPatch.context() as m:
                     _apply_variant(m, variant)
                     opt = _solve(maximize_dual, inst, c0)
@@ -579,6 +568,7 @@ class TestReplayEquality:
                 self.assert_optimal_on_grid(inst, c0)
 
     def test_ties_on_a_grid_of_eighths_sampled(self, bracket_variant):
+        # n = 600: the search starts from the paper's maximiser
         n = 600
         rng = np.random.default_rng(n)
         for _ in range(2):
@@ -602,7 +592,7 @@ class TestReplayEquality:
         with pytest.raises(ArithmeticError):
             maximize_dual(from_arrays(base.weights * 1e40, base.costs), min_cost_sum(base))
 
-        # At a size with a row sample, whose own search may overflow too.
+        # At a size with a hint, far below lambda* here.
         base = generate(600, 1.0, 1)
         inst = from_arrays(base.weights * 1e6, base.costs)
         low = min_cost_sum(inst)
@@ -612,11 +602,15 @@ class TestReplayEquality:
             assert opt.lambda_star > 600 * math.log(600)
         with pytest.raises(ArithmeticError):
             maximize_dual(from_arrays(base.weights * 1e40, base.costs), min_cost_sum(base))
+        # at s < 1 a budget whose square underflows to 0 has an infinite
+        # hint, so the search starts at n log n and overflows as above
+        inst = from_arrays(base.weights, base.costs * 1e-175, s=0.5)
+        with pytest.raises(ArithmeticError, match="lambda overflow"):
+            maximize_dual(inst, 2.0 * min_cost_sum(inst))
 
         # lambda* 1.1 times the search's last upper end (the last doubling
-        # of n log n within 1e30), the sample's estimate (0.79 lambda* on
-        # this instance) below it and 1.5 times the estimate above it: the
-        # search raises from either start.
+        # of n log n within 1e30), far above the hint: the search raises
+        # from either start.
         base = generate(600, 1.0, 0)
         ceiling = 600 * math.log(600)
         while ceiling * 2.0 <= 1e30:
@@ -628,32 +622,25 @@ class TestReplayEquality:
         self.assert_same_as_shipped(inst, 120.0, opt)
 
     @pytest.mark.parametrize("s", [1.0, 0.6])
-    def test_sample_infeasible_at_the_cheapest_budget(self, s, bracket_variant):
-        # At c0 = min_cost_sum the budget c0 * m/n, scaled to the sample's
-        # m rows, is below the sample's own cheapest cost on about half the
-        # instances (seeds 0, 1 and 3 here). The sample is given its
-        # cheapest cost plus the headroom c0 - min_cost_sum scaled to its
-        # rows instead, which is never infeasible, so it runs on all four.
-        stride = dual_module._SAMPLE_STRIDE
-        infeasible_if_scaled = 0
+    def test_the_cheapest_budget(self, s, bracket_variant):
+        # At c0 = min_cost_sum lambda* is where the last row switches to its
+        # cheapest edge, far above the hint (predict gives none for seed 2
+        # at s = 1), so the search steps up.
         for seed in range(4):
             inst = generate(600, s, seed)
             c0 = min_cost_sum(inst)
             opt = self.assert_matches_reference(inst, c0)
             self.assert_same_as_shipped(inst, c0, opt)
-            sample_cheapest = inst.cheapest_costs[1][::stride].sum()
-            infeasible_if_scaled += sample_cheapest > c0 * len(range(0, 600, stride)) / 600
-            assert (opt.sample_evaluations > 0) == (bracket_variant != "unsampled")
-        assert infeasible_if_scaled >= 1
+            if bracket_variant is None:
+                assert opt.full_evaluations > 2
 
-    def test_sample_estimate_far_off(self, bracket_variant):
-        # Every sampled row's weights x100 put the estimate far above
-        # lambda*, so both first bracket ends are on the same side and the
+    @pytest.mark.parametrize("scale", [100.0, 0.01])
+    def test_hint_far_off(self, scale, bracket_variant):
+        # Weights x100 put lambda* far above the hint, and x0.01 far below
+        # it, so both first bracket ends are on the same side and the
         # search steps outward.
         base = generate(600, 1.0, 1)
-        weights = base.weights.copy()
-        weights[:: dual_module._SAMPLE_STRIDE] *= 100
-        inst = from_arrays(weights, base.costs)
+        inst = from_arrays(base.weights * scale, base.costs)
         for c0 in (math.sqrt(600), 0.2 * 600, 3.0):
             opt = self.assert_matches_reference(inst, c0)
             self.assert_same_as_shipped(inst, c0, opt)
@@ -678,27 +665,22 @@ class TestReplayEquality:
 class TestDualCounters:
     def test_full_evaluations_pinned(self):
         # At c0=sqrt(n) the plain bisection makes about fifty full
-        # evaluations. The row sample's own search makes `sample` evaluations
-        # on every eighth row and, at n=3000, where those are 375 rows, on
-        # its own sample of every 64th row too: `sample` counts both levels.
-        # The full bracket search then evaluates b and a in one pass, which
-        # also collects the candidates; the line meeting makes `candidate`
-        # evaluations on them. No search makes a pass at lambda=0: the
-        # instance holds each row's lightest edge.
-        for n, full, candidate, sample in ((1000, 2, 9, 14), (3000, 2, 11, 22)):
+        # evaluations. The bracket search evaluates b and a around the
+        # paper's maximiser in one pass, which also collects the candidates;
+        # the line meeting makes `candidate` evaluations on them, `width`
+        # columns per row. No search makes a pass at lambda=0: the instance
+        # holds each row's lightest edge.
+        for n, full, candidate, width in ((1000, 2, 8, 20), (3000, 2, 11, 14)):
             inst = generate(n, 1.0, 1)
             opt = maximize_dual(inst, math.sqrt(n))
             assert opt.full_evaluations == full, n
             assert opt.candidate_evaluations == candidate, n
-            assert opt.sample_evaluations == sample, n
-            assert 0 < opt.candidate_width < inst.n
+            assert opt.candidate_width == width, n
 
     def test_slack_budget_makes_no_full_evaluation(self, worked):
         opt = maximize_dual(worked, 2.0)
-        assert (
-            opt.full_evaluations, opt.candidate_evaluations,
-            opt.candidate_width, opt.sample_evaluations,
-        ) == (0, 0, 0, 0)
+        counters = (opt.full_evaluations, opt.candidate_evaluations, opt.candidate_width)
+        assert counters == (0, 0, 0)
 
     def test_pipeline_trace_carries_counters(self):
         inst = generate(600, 1.0, 3)
@@ -707,68 +689,45 @@ class TestDualCounters:
         opt = maximize_dual(inst, c0)
         assert trace["dual_full_evaluations"] == opt.full_evaluations
         assert trace["dual_candidate_evaluations"] == opt.candidate_evaluations
-        assert trace["dual_sample_evaluations"] == opt.sample_evaluations > 0
         assert trace["dual_candidate_width"] == opt.candidate_width > 0
 
-    def test_only_the_smallest_sample_steps_down(self, monkeypatch):
-        # At n=3000 the 47 rows of every 64th start from n log n and step
-        # down, collecting candidates that each further step discards. The
-        # 375 rows of every eighth and the whole instance each start from
-        # the sample below them and find their bracket in the one pass at
-        # both ends.
-        passes = []
-        shipped = dual_module._PhiEvaluator._pass
-
-        def spy(self, lams, minima_above):
-            passes.append((self.stride, len(lams)))
-            return shipped(self, lams, minima_above)
-
-        monkeypatch.setattr(dual_module._PhiEvaluator, "_pass", spy)
-        opt = maximize_dual(generate(3000, 1.0, 1), math.sqrt(3000))
-        assert [p for p in passes if p[0] != 64] == [(8, 2), (1, 2)]
-        assert passes[:2] == [(64, 2), (64, 1)]
-        full_at_64 = sum(lams for stride, lams in passes if stride == 64)
-        assert 2 < full_at_64 < opt.sample_evaluations - 2
-
     def test_a_step_up_collects_the_candidates_in_its_pass(self, monkeypatch):
-        # At c0=min_cost_sum lambda* is where the last row switches to its
-        # cheapest edge, far above the row sample's estimate, so b steps
-        # up. Each step's pass scans the old b again as a and collects the
-        # candidates there: no pass at a alone follows.
+        # At c0=min_cost_sum (0.985 here) predict has no hint, and lambda*
+        # is where the last row switches to its cheapest edge, far above
+        # n log n, so b steps up twice. Each step's pass scans the old b
+        # again as a and collects the candidates there: no pass at a alone
+        # follows.
         passes = []
         shipped = dual_module._PhiEvaluator._pass
 
         def spy(self, lams, minima_above):
-            if self.stride == 1:
-                passes.append(lams)
+            passes.append(lams)
             return shipped(self, lams, minima_above)
 
         monkeypatch.setattr(dual_module._PhiEvaluator, "_pass", spy)
         inst = generate(1000, 1.0, 1)
         opt = maximize_dual(inst, min_cost_sum(inst))
-        assert len(passes) == 2 and all(len(lams) == 2 for lams in passes)
-        (b, _), (b_new, a) = passes
-        assert (a, b_new) == (b, b * dual_module._BRACKET_FACTOR)
+        assert len(passes) == 3 and all(len(lams) == 2 for lams in passes)
+        for (b, _), (b_new, a) in zip(passes, passes[1:]):
+            assert (a, b_new) == (b, b * dual_module._BRACKET_FACTOR)
         assert opt.mapping_low.cost > min_cost_sum(inst) >= opt.mapping_high.cost
-        assert opt.full_evaluations == 4
+        assert opt.full_evaluations == 6
 
     @staticmethod
     def passes_of(monkeypatch, inst, c0):
-        """maximize_dual(inst, c0) and the lams of each of its passes over
-        all rows."""
+        """maximize_dual(inst, c0) and the lams of each of its passes."""
         passes = []
         shipped = dual_module._PhiEvaluator._pass
 
         def spy(self, lams, minima_above):
-            if self.stride == 1:
-                passes.append(tuple(lams))
+            passes.append(tuple(lams))
             return shipped(self, lams, minima_above)
 
         monkeypatch.setattr(dual_module._PhiEvaluator, "_pass", spy)
         return maximize_dual(inst, c0), passes
 
     def test_each_step_down_is_one_pass_at_the_new_a(self, monkeypatch):
-        # Without a row sample the search starts at b = n log n and a = b/8,
+        # Without a hint (n < 256) the search starts at b = n log n and a = b/8,
         # both above lambda* here. Each step down makes a the new b and
         # scans only the new a, collecting its candidates against the row
         # minima that the pass before found at the new b.
@@ -797,48 +756,59 @@ class TestDualCounters:
         assert opt.lambda_star == 0.0
         assert opt.full_evaluations == 14
 
-    def test_a_start_below_the_floor_scans_b_alone(self, monkeypatch):
-        # Weights x1e-12 put the row sample's estimate, and so a, below the
-        # floor: a starts at 0, read off the lightest edges, and the first
-        # pass scans b alone. The sampled rows x0.01 more put lambda* above
-        # b, so b steps up twice, each pass scanning the new b and the old.
+    def test_a_start_below_the_floor_scans_b_and_zero(self, monkeypatch):
+        # A hint below 1e-10 puts a below the floor, so a starts at 0, and
+        # the first pass scans b and 0. Weights x1e-12 put lambda* at about
+        # 4e-13 on this instance, three steps of 8 above the hint x1.5.
+        monkeypatch.setattr(dual_module, "lambda_hint", lambda n, c0, s: 1e-15)
         base = generate(600, 1.0, 2)
-        weights = base.weights * 1e-12
-        weights[:: dual_module._SAMPLE_STRIDE] *= 0.01
-        inst = from_arrays(weights, base.costs)
+        inst = from_arrays(base.weights * 1e-12, base.costs)
         opt, passes = self.passes_of(monkeypatch, inst, math.sqrt(600))
-        b = passes[0][0]
-        assert b < 1e-10
-        assert passes == [(b,), (8 * b, b), (64 * b, 8 * b)]
-        assert 8 * b < opt.lambda_star < 64 * b
-        assert opt.full_evaluations == 5
+        b = 1e-15 * dual_module._HINT_MARGIN
+        assert passes == [(b, 0.0), (8 * b, b), (64 * b, 8 * b), (512 * b, 64 * b)]
+        assert 64 * b < opt.lambda_star < 512 * b
+        assert opt.full_evaluations == 8
+
+    def test_zero_and_the_hint_bracket_lambda_star(self, monkeypatch):
+        # A floor of 1 puts a = hint/1.5 below it, so a starts at 0; b is
+        # 1.5 times the hint, above lambda*, so [0, b] is the bracket, found
+        # in one pass, and the answer is the reference's.
+        monkeypatch.setattr(dual_module, "_BRACKET_FLOOR", 1.0)
+        inst = generate(600, 1.0, 2)
+        c0 = math.sqrt(600)
+        opt, passes = self.passes_of(monkeypatch, inst, c0)
+        b = 1.5 * lambda_hint(600, c0)
+        assert passes == [(b, 0.0)]
+        assert 0.0 < opt.lambda_star < b
+        assert opt.full_evaluations == 2
+        TestReplayEquality().assert_matches_reference(inst, c0)
 
 
 def _serial_full(evaluate, lam, minima_above=None):
     """Reference: ``_PhiEvaluator.full`` as it was before passes ran in row
     chunks and at both bracket ends at once, one serial scan through one
-    buffer. Kept verbatim apart from names and the returned tuple."""
+    buffer. Kept verbatim apart from names, the returned tuple and the row
+    stride, now always 1."""
     inst = evaluate.instance
-    n, m = inst.n, len(evaluate.rows)
-    block = np.empty((min(m, _ROW_BLOCK), n))
-    f = np.empty(m, dtype=np.intp)
-    minima = np.empty(m)
+    n = inst.n
+    block = np.empty((min(n, _ROW_BLOCK), n))
+    f = np.empty(n, dtype=np.intp)
+    minima = np.empty(n)
     found = []
-    for r0 in range(0, n, _ROW_BLOCK * evaluate.stride):
-        rows = slice(r0, min(r0 + _ROW_BLOCK * evaluate.stride, inst.n), evaluate.stride)
+    for r0 in range(0, n, _ROW_BLOCK):
+        rows = slice(r0, min(r0 + _ROW_BLOCK, n))
         costs = inst.costs[rows]
         scores = block[: len(costs)]
         with np.errstate(invalid="ignore"):
             np.multiply(costs, lam, out=scores)
         scores += inst.weights[rows]
-        scores.reshape(-1)[r0 :: inst.n + evaluate.stride] = np.inf
-        t0 = r0 // evaluate.stride
-        t1 = t0 + len(scores)
-        _row_minima(scores, f[t0:t1], minima[t0:t1])
+        scores.reshape(-1)[r0 :: n + 1] = np.inf
+        r1 = r0 + len(scores)
+        _row_minima(scores, f[r0:r1], minima[r0:r1])
         if minima_above is not None:
-            mask = scores <= minima_above[t0:t1, None]
-            found.append(mask.reshape(-1).nonzero()[0] + t0 * n)
-    rows = evaluate.rows
+            mask = scores <= minima_above[r0:r1, None]
+            found.append(mask.reshape(-1).nonzero()[0] + r0 * n)
+    rows = np.arange(n)
     weight = float(inst.weights[rows, f].sum())
     cost = float(inst.costs[rows, f].sum())
     return f, weight, cost, minima, (np.concatenate(found) if found else None)
@@ -861,9 +831,8 @@ class TestThreadedPasses:
         assert e.argmin.f.tolist() == f.tolist()
         assert (e.argmin.weight.hex(), e.argmin.cost.hex()) == (weight.hex(), cost.hex())
 
-    @pytest.mark.parametrize("stride", [1, 8, 64])
     @pytest.mark.parametrize("n", [2, 5, 33, 600, 2100])
-    def test_equals_the_serial_passes(self, n, stride, monkeypatch):
+    def test_equals_the_serial_passes(self, n, monkeypatch):
         inst = generate(n, 0.6, 3)
         scans = []
         shipped = dual_module._PhiEvaluator._scan
@@ -878,19 +847,18 @@ class TestThreadedPasses:
         try:
             for cpus in (1, 2, 3, 7):
                 _thread_the_passes(monkeypatch, cpus)
-                evaluate = dual_module._PhiEvaluator(inst, 1.0, stride)
-                m = len(evaluate.rows)
+                evaluate = dual_module._PhiEvaluator(inst, 1.0)
                 for a, b in ((0.0, 0.5), (0.5, 2.0), (3.0, 3.0), (1e-3, 1e3)):
                     ref_b = _serial_full(evaluate, b)
                     ref_a = _serial_full(evaluate, a, ref_b[3])
                     scans.clear()
                     (e_b, e_a), (minima_b, minima_a), found = evaluate._pass((b, a), None)
-                    assert len(scans) == max(1, min(cpus, m // _ROW_BLOCK)), (n, stride, cpus)
+                    assert len(scans) == max(1, min(cpus, n // _ROW_BLOCK)), (n, cpus)
                     self.assert_evaluation(e_b, ref_b, b)
                     self.assert_evaluation(e_a, ref_a, a)
                     assert minima_b.tobytes() == ref_b[3].tobytes()
                     assert minima_a.tobytes() == ref_a[3].tobytes()
-                    assert found.tolist() == ref_a[4].tolist(), (n, stride, cpus, a, b)
+                    assert found.tolist() == ref_a[4].tolist(), (n, cpus, a, b)
                     # a single evaluation, with and without collection
                     [e], [minima], found = evaluate._pass((a,), ref_b[3])
                     self.assert_evaluation(e, ref_a, a)
@@ -934,11 +902,10 @@ class TestThreadedPasses:
                 assert _bits(opt.mapping_low) == _bits(expected.mapping_low)
                 assert _bits(opt.mapping_high) == _bits(expected.mapping_high)
                 assert (
-                    opt.full_evaluations, opt.candidate_evaluations,
-                    opt.candidate_width, opt.sample_evaluations,
+                    opt.full_evaluations, opt.candidate_evaluations, opt.candidate_width
                 ) == (
                     expected.full_evaluations, expected.candidate_evaluations,
-                    expected.candidate_width, expected.sample_evaluations,
+                    expected.candidate_width,
                 )
 
     def test_no_thread_outlives_a_call(self, monkeypatch):

@@ -124,11 +124,29 @@ class TestRunExperiment:
             run_experiment(small_config(trials=0))
         with pytest.raises(ValueError):
             run_experiment(small_config(budget=BudgetSpec("absolute", -1.0)))
+        for field, message in (
+            (dict(n=1), "n must be at least 2"),
+            (dict(s=1.5), "s must lie in"),
+            (dict(parallelism=0), "parallelism must be at least 1"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                run_experiment(small_config(**field))
 
     @pytest.mark.parametrize("c0", [math.inf, math.nan])
     def test_rejects_a_non_finite_budget(self, c0):
         with pytest.raises(ValueError, match="finite"):
             run_experiment(small_config(budget=BudgetSpec("absolute", c0)))
+
+    def test_no_prediction_when_the_regime_is_ambiguous(self):
+        # c0 = 1 at s = 1 is the one constant budget predict leaves open
+        config = ExperimentConfig(
+            n=50, s=1.0, trials=6, base_seed=1, budget=BudgetSpec("absolute", 1.0)
+        )
+        report = run_experiment(config)
+        assert report.prediction is None
+        assert report.aggregates["ratio"] is None
+        assert report.aggregates["failures"] == {"infeasible": 4}
+        assert report.warnings == []
 
     def test_prediction_attached_when_regime_known(self):
         config = ExperimentConfig(
@@ -147,6 +165,8 @@ class TestExpectationCheck:
         n = 1000
         rep = run_expectation_check(n, 0.0, 1.0, repetitions=50_000, seed=3)
         assert abs(rep.empirical_mean - 1.0 / (n + 1)) / (1.0 / (n + 1)) < 0.02
+        with pytest.raises(ValueError, match="repetitions must be at least 1, got 0"):
+            run_expectation_check(n, 0.0, 1.0, repetitions=0, seed=3)
 
     def test_mid_regime(self):
         rep = run_expectation_check(2000, 0.05, 1.0, repetitions=20_000, seed=4)
@@ -377,9 +397,10 @@ def _digest(text: str) -> str:
 
 class TestFrozenOutputs:
     """Reports pinned by SHA-256: a refactor that keeps outputs must keep
-    these bytes. n=600 runs the dual's row sample; block 600 holds an
-    instance where greedy repair breaches the budget and the Lagrangian
-    arborescence fallback runs, so its clean report has block 601's bytes."""
+    these bytes. n=600 starts the dual's bracket search from the paper's
+    maximiser; block 600 holds an instance where greedy repair breaches the
+    budget and the Lagrangian arborescence fallback runs, so its clean
+    report has block 601's bytes."""
 
     @pytest.mark.parametrize("s,budget,digest", [
         (1.0, BudgetSpec("power", 0.5),

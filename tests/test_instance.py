@@ -136,6 +136,8 @@ def test_invalid_parameters_rejected():
         generate(3, 0.0, 0)
     with pytest.raises(ValueError):
         generate(3, 1.5, 0)
+    with pytest.raises(ValueError, match="matching square matrices"):
+        from_arrays(np.zeros((3, 3)), np.zeros((2, 2)))
 
 
 def test_uniform_marginals_kolmogorov_distance():
@@ -270,6 +272,10 @@ class TestSaveLoad:
         data[:4] = b"NOPE"
         path.write_bytes(bytes(data))
         with pytest.raises(InstanceFormatError, match="magic"):
+            load(path)
+        data[:8] = _HEADER.pack(_MAGIC, _VERSION + 1, 3, 1.0, 1)[:8]
+        path.write_bytes(bytes(data))
+        with pytest.raises(InstanceFormatError, match=f"unsupported version {_VERSION + 1}"):
             load(path)
 
     @given(
