@@ -75,46 +75,62 @@ def g_prime(beta: float) -> float:
     return _gauss_integral(1.0 / root) / (2.0 * root) + math.exp(-1.0 / (2.0 * beta))
 
 
+def _g_prime_excess(beta: float) -> float:
+    """g'(b) - 1, which is about 1/(24 b**2) for large b. From b = 1 on it is
+    summed as its series in x = 1/b, the sum over m >= 2 of
+    (-x)**m / (2**m (m-2)! m (2m-1)), so it keeps its relative accuracy
+    where g'(b) itself rounds to 1."""
+    if beta < 1.0:
+        return g_prime(beta) - 1.0
+    x = 1.0 / beta
+    coef = x * x / 4.0  # (-x)**m / (2**m (m-2)!) at m = 2
+    total, m = 0.0, 2
+    while True:
+        term = coef / (m * (2 * m - 1))
+        total += term
+        if abs(term) <= 1e-17 * total:
+            return total
+        coef *= -x / (2.0 * (m - 1))
+        m += 1
+
+
 def beta_star(alpha: float, case: str) -> float:
     """Unique positive root of f'(b) = alpha (CASE2) or g'(b) = alpha (CASE3).
 
     Bisection on the strictly decreasing derivative; the bracket grows by
-    doubling until it straddles the root. Stops when the derivative residual
-    is at most 1e-10.
+    doubling until it straddles the root. CASE3 solves g'(b) - 1 = alpha - 1,
+    whose sides keep their relative accuracy where g' is flat near 1. Stops
+    when the bracket is narrower than 1e-15 of its upper end.
     """
     if case == "CASE2":
         if not 0.0 < alpha < 0.5:
             raise ValueError(f"CASE2 requires 0 < alpha < 1/2, got {alpha}")
-        deriv = f_prime
+        deriv, target = f_prime, alpha
         lo = 0.0
     elif case == "CASE3":
         if alpha <= 1.0:
             raise ValueError(f"CASE3 requires alpha > 1, got {alpha}")
-        deriv = g_prime
+        deriv, target = _g_prime_excess, alpha - 1.0
         # g'(b) ~ sqrt(pi/(8b)) for small b, so this lies left of the root
         lo = min(1e-12, math.pi / (16.0 * alpha * alpha))
-        while deriv(lo) <= alpha:
+        while deriv(lo) <= target:
             lo /= 4.0
     else:
         raise ValueError(f"case must be CASE2 or CASE3, got {case!r}")
 
     hi = max(1.0, 2.0 * lo)
-    while deriv(hi) >= alpha:
+    while deriv(hi) >= target:
         hi *= 2.0
         if hi > 1e300:
             raise ArithmeticError("bracket for beta_star failed to close")
 
-    for _ in range(500):
+    # a width of one ulp of hi is below the stop, so the halving ends
+    while hi - lo > 1e-15 * hi:
         mid = 0.5 * (lo + hi)
-        val = deriv(mid)
-        if abs(val - alpha) <= 1e-10:
-            return mid
-        if val > alpha:
+        if deriv(mid) > target:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-300:
-            break
     return 0.5 * (lo + hi)
 
 

@@ -251,7 +251,9 @@ def run_expectation_check(
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     predicted = asymptotics.expected_min(n, lam, s)
-    rng = np.random.Generator(np.random.Philox(key=[seed & ((1 << 64) - 1), 1]))
+    # keyed apart from the instance stream of the same seed
+    key = np.random.SeedSequence([seed & ((1 << 64) - 1), 1])
+    rng = np.random.Generator(np.random.PCG64(key))
     chunk = max(1, min(repetitions, 10_000_000 // n))
     total = 0.0
     done = 0

@@ -2,14 +2,17 @@
 
 Every directed edge (i, j), i != j, carries an independent weight and an
 independent cost, each drawn as U**s with U uniform on [0, 1) and
-0 < s <= 1. All draws come from one counter-based Philox stream keyed on
-the seed: edge (i, j)'s weight sits at stream position i*n + j and its cost
-at n*n + i*n + j. A generator placed at any position draws the same bits
-there as the whole stream would, so rows are drawn in independent chunks,
-one per CPU this process may run on, and the result depends on neither
-the chunk count nor thread order (Salmon et al., "Parallel random numbers:
-as easy as 1, 2, 3", SC'11). The thread count is not a setting: it is read
-from the CPU affinity, and small instances are drawn on the calling thread.
+0 < s <= 1. All draws come from one PCG64 stream seeded with the seed
+modulo 2**64, which PCG64 takes exactly: edge (i, j)'s weight is the
+stream's draw i*n + j and its cost draw n*n + i*n + j, one 64-bit output
+per double. PCG64 jumps ahead by any distance in O(log distance) steps
+(O'Neill, "PCG: A family of simple fast space-efficient statistically good
+algorithms for random number generation", 2014), so a generator placed at
+any position draws the same bits there as the whole stream would. Rows are
+therefore drawn in independent chunks, one per CPU this process may run
+on, and the result depends on neither the chunk count nor thread order.
+The thread count is not a setting: it is read from the CPU affinity, and
+small instances are drawn on the calling thread.
 Diagonal entries hold +inf so no row scan can ever select a self-loop.
 
 Each chunk draws its rows in blocks of _ROW_BLOCK rows and, while a block
@@ -87,13 +90,11 @@ def _cheapest_edges(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, values
 
 
-def _philox_at(seed: int, position: int) -> np.random.Generator:
-    """A generator whose next draw is the seed's stream at ``position``:
-    each Philox counter step yields four draws."""
-    bitgen = np.random.Philox(key=[seed & _MASK64, 0])
+def _stream_at(seed: int, position: int) -> np.random.Generator:
+    """A generator whose next draw is the seed's stream at ``position``."""
+    bitgen = np.random.PCG64(seed & _MASK64)
     if position:  # placing costs more than drawing a small instance
-        bitgen.advance(position // 4)
-        bitgen.random_raw(position % 4)
+        bitgen.advance(position)
     return np.random.Generator(bitgen)
 
 
@@ -107,7 +108,7 @@ def _draw_rows(seed: int, s: float, r0: int, r1: int, parts) -> None:
         n = m.shape[1]
         # a chunk of all rows runs on from one matrix into the next
         if position != offset + r0 * n:
-            gen = _philox_at(seed, offset + r0 * n)
+            gen = _stream_at(seed, offset + r0 * n)
         position = offset + r1 * n
         for b0 in range(r0, r1, _ROW_BLOCK):
             b1 = min(b0 + _ROW_BLOCK, r1)

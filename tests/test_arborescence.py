@@ -265,11 +265,11 @@ class TestEdmonds:
         assert arb.weight >= row_min.sum() - row_min.max() - 1e-9
 
     @pytest.mark.parametrize("n,lam,digest", [
-        (1000, 0.0, "8607409c295d967ca689173de09896d5096f4799f909216751737a320e1093cb"),
-        (1000, 0.4, "915eca2fd12606b672d2bca6f20f68887e962879a624d5e759edcda964d7b21a"),
-        (3000, 0.0, "fa4850468c61ad61b0343669f9661eb6bf9a41dcb995589ac234b49dd0fa9c6c"),
-        (3000, 0.4, "9069ef4af444e47585cfa280c972c3a20b1b39e9247c7c381cb79df91666bba2"),
-    ])
+        (1000, 0.0, "bb10eebfb2c4786a9da20e97777e2a1f38edb8c104596f136c1a2eebde7d9e83"),
+        (1000, 0.4, "4d3985306453b006aba5f7bfa9eafbab87ac0fb2940acbba7eec3fd7245f6c71"),
+        (3000, 0.0, "529a51ac3653c9c929a5624ec31e55a8bceaa3f46da7d27dbc8f1853f3aff269"),
+        (3000, 0.4, "b02413bb59ffb8d852574b19195b3d83678ecbbb499307ab6b88dfc4fd228002"),
+    ], ids=["1000-0.0", "1000-0.4", "3000-0.0", "3000-0.4"])
     def test_frozen_output_at_large_n(self, n, lam, digest):
         # pinned by SHA-256 of the root, the parent bytes and the weight and
         # cost bits: the recursive reference needs 1.4 GB at n=1000
@@ -342,19 +342,19 @@ class TestPipeline:
     def test_repair_that_regains_the_budget_does_not_raise(self):
         # one reconnection here has no in-budget edge, yet the finished
         # arborescence fits c0; repair once raised on it
-        inst = generate(1000, 1.0, 1028)
+        inst = generate(1000, 1.0, 1)
         res = solve_constrained_arborescence(inst, 2.0)
         ok, diags = validate(res.arborescence, inst)
         assert ok, diags
-        assert res.arborescence.cost == pytest.approx(1.99930, abs=1e-5)
+        assert res.arborescence.cost == pytest.approx(1.99947, abs=1e-5)
         assert res.arborescence.cost <= 2.0
 
-    def test_fallback_reaches_the_oracle_at_block_600(self):
-        # oracle-suite block 600, index 106: greedy repair costs 1.0982, over
+    def test_fallback_reaches_the_oracle_at_block_720(self):
+        # oracle-suite block 720, index 78: greedy repair costs 1.7228, over
         # the suite's budget there; meeting the Lagrangian arborescences'
         # lines from 0 and lambda* finds the exhaustive optimum
-        inst = generate(5, 1.0, derive_trial_seed(600, 106))
-        c0 = 1.0311524933780496
+        inst = generate(4, 1.0, derive_trial_seed(720, 78))
+        c0 = 1.471967889805256
         res = solve_constrained_arborescence(inst, c0)
         oracle = exact_arborescence_oracle(inst, c0)
         assert res.trace["edmonds_calls"] == 3
@@ -391,13 +391,13 @@ class TestPipeline:
         inst = generate(300, 1.0, 0)
         c0 = math.sqrt(300)
         res = solve_constrained_arborescence(inst, c0)
-        arb = edmonds(inst, lam=0.4551)
+        arb = edmonds(inst, lam=0.4105)
         ok, diags = validate(arb, inst)
         assert ok, diags
-        assert arb.cost == pytest.approx(17.32042, abs=1e-5)
+        assert arb.cost == pytest.approx(17.28950, abs=1e-5)
         assert arb.cost <= c0
-        assert arb.weight == pytest.approx(7.44737, abs=1e-5)
-        assert res.lower_bound == pytest.approx(7.56309, abs=1e-5)
+        assert arb.weight == pytest.approx(7.14981, abs=1e-5)
+        assert res.lower_bound == pytest.approx(7.21297, abs=1e-5)
         assert arb.weight < res.lower_bound
 
     def test_infeasible_budget_raises(self, worked):
@@ -875,7 +875,7 @@ class TestEqualsTheOldCode:
     @pytest.mark.parametrize("n", range(4, 8))
     def test_lagrangian_fallback(self, n, s):
         # from lambda=0 and the mapping dual's lambda*: the same tree, the
-        # same Edmonds calls, or the same error. Seeds 40 and 110 add
+        # same Edmonds calls, or the same error. Seeds 111 and 201 add
         # instances whose cheapest arborescence breaches min_cost_sum.
         def run(fallback, inst, c0, lambda_star):
             try:
@@ -886,7 +886,7 @@ class TestEqualsTheOldCode:
 
         rows = np.arange(n)
         errors = 0
-        for seed in (*range(40), 40, 110):
+        for seed in (*range(40), 111, 201):
             inst = generate(n, s, seed)
             low = min_cost_sum(inst)
             high = float(inst.costs[rows, inst.cheapest_weights[0]].sum())

@@ -106,6 +106,22 @@ class TestBetaStar:
         gp = float(integral / (2 * root) + mpmath.exp(-1 / (2 * b)))
         assert abs(gp - 1.05) < 1e-9
 
+    @pytest.mark.parametrize("alpha", [1 + 1e-12, 1 + 1e-9, 1 + 1e-6])
+    def test_case3_near_one_against_mpmath(self, alpha):
+        # g'(b) - 1 ~ 1/(24 b**2) is flat here: a stop on the residual of g'
+        # once returned 2**17 at 1 + 1e-12, about 36% below the root
+        def g_prime_mp(b):
+            return mpmath.sqrt(mpmath.pi / (8 * b)) * mpmath.erf(
+                1 / mpmath.sqrt(2 * b)
+            ) + mpmath.exp(-1 / (2 * b))
+
+        with mpmath.workdps(50):
+            target = mpmath.mpf(alpha)
+            root = mpmath.findroot(
+                lambda b: g_prime_mp(b) - target, 1 / mpmath.sqrt(24 * (target - 1))
+            )
+        assert beta_star(alpha, "CASE3") == pytest.approx(float(root), rel=1e-8)
+
     def test_domain_errors(self):
         for alpha in (0.0, 0.5, 0.7, -1.0):
             with pytest.raises(ValueError):

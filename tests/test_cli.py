@@ -133,6 +133,15 @@ class TestSolve:
         assert payload["parent"][payload["root"]] is None
         assert payload["trace"]["cycles_broken"] >= 1
 
+    def test_writes_its_out_file(self, tmp_path, capsys):
+        path = tmp_path / "tree.json"
+        args = ("solve", "--n", "5", "--seed", "1", "--c0", "100")
+        code, out, _ = run_cli(capsys, *args, "--out", str(path))
+        assert code == 0
+        assert out == ""
+        assert path.read_text() == run_cli(capsys, *args)[1]
+        assert json.loads(path.read_text())["parent"].count(None) == 1
+
     def test_infeasible_budget_exit_1(self, capsys):
         code, _, err = run_cli(
             capsys, "solve", "--n", "20", "--seed", "1", "--c0", "0.1"
@@ -230,6 +239,15 @@ class TestExperimentCommand:
         payload = json.loads((tmp_path / "exp.json").read_text())
         assert payload["schema"] == 3 and len(payload["rows"]) == 3
         assert (tmp_path / "exp.csv").read_text().count("\n") == 4
+
+    def test_json_to_stdout(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "experiment", "--n", "5", "--trials", "2", "--seed", "5",
+            "--c0", "5.0", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["schema"] == 3 and len(payload["rows"]) == 2
 
     def test_csv_to_stdout(self, capsys):
         code, out, _ = run_cli(

@@ -670,7 +670,7 @@ class TestDualCounters:
         # the line meeting makes `candidate` evaluations on them, `width`
         # columns per row. No search makes a pass at lambda=0: the instance
         # holds each row's lightest edge.
-        for n, full, candidate, width in ((1000, 2, 8, 20), (3000, 2, 11, 14)):
+        for n, full, candidate, width in ((1000, 2, 9, 15), (3000, 2, 10, 13)):
             inst = generate(n, 1.0, 1)
             opt = maximize_dual(inst, math.sqrt(n))
             assert opt.full_evaluations == full, n
@@ -692,7 +692,7 @@ class TestDualCounters:
         assert trace["dual_candidate_width"] == opt.candidate_width > 0
 
     def test_a_step_up_collects_the_candidates_in_its_pass(self, monkeypatch):
-        # At c0=min_cost_sum (0.985 here) predict has no hint, and lambda*
+        # At c0=min_cost_sum (0.977 here) predict has no hint, and lambda*
         # is where the last row switches to its cheapest edge, far above
         # n log n, so b steps up twice. Each step's pass scans the old b
         # again as a and collects the candidates there: no pass at a alone
@@ -705,7 +705,7 @@ class TestDualCounters:
             return shipped(self, lams, minima_above)
 
         monkeypatch.setattr(dual_module._PhiEvaluator, "_pass", spy)
-        inst = generate(1000, 1.0, 1)
+        inst = generate(1000, 1.0, 4)
         opt = maximize_dual(inst, min_cost_sum(inst))
         assert len(passes) == 3 and all(len(lams) == 2 for lams in passes)
         for (b, _), (b_new, a) in zip(passes, passes[1:]):
@@ -731,7 +731,7 @@ class TestDualCounters:
         # both above lambda* here. Each step down makes a the new b and
         # scans only the new a, collecting its candidates against the row
         # minima that the pass before found at the new b.
-        inst = generate(4, 1.0, 0)
+        inst = generate(4, 1.0, 1)
         low = min_cost_sum(inst)
         high = inst.costs[np.arange(4), inst.cheapest_weights[0]].sum()
         opt, passes = self.passes_of(monkeypatch, inst, low + 0.7 * (high - low))

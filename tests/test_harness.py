@@ -140,7 +140,7 @@ class TestRunExperiment:
     def test_no_prediction_when_the_regime_is_ambiguous(self):
         # c0 = 1 at s = 1 is the one constant budget predict leaves open
         config = ExperimentConfig(
-            n=50, s=1.0, trials=6, base_seed=1, budget=BudgetSpec("absolute", 1.0)
+            n=50, s=1.0, trials=6, base_seed=7, budget=BudgetSpec("absolute", 1.0)
         )
         report = run_experiment(config)
         assert report.prediction is None
@@ -187,8 +187,6 @@ class TestOracleSuite:
         assert report.checks == 240
 
     def test_block_600_passes(self):
-        # greedy repair breaches the budget at index 106; the Lagrangian
-        # arborescence fallback fits it
         report = run_oracle_suite(108, range(4, 7), seed=600)
         assert report.passed, report.violations
 
@@ -281,6 +279,40 @@ class TestOracleSuite:
         report = run_oracle_suite(5, [4], seed=7)
         assert not report.passed
         assert {v["check"] for v in report.violations} == {"gap-sandwich"}
+
+    def test_bound_above_the_optimum_is_caught_with_seed(self, monkeypatch):
+        # a dual bound 1.0 above its own value lies above the exact
+        # constrained-mapping optimum of every instance: check (b) fires
+        solve_mapping = arb_mod.solve_mapping
+
+        def bound_too_high(*args, **kwargs):
+            sol = solve_mapping(*args, **kwargs)
+            return dataclasses.replace(sol, lower_bound=sol.lower_bound + 1.0)
+
+        monkeypatch.setattr(arb_mod, "solve_mapping", bound_too_high)
+        report = run_oracle_suite(5, [4], seed=7)
+        assert not report.passed
+        assert [v["check"] for v in report.violations] == ["weak-duality"] * 5
+        assert [v["seed"] for v in report.violations] == [
+            derive_trial_seed(7, idx) for idx in range(5)
+        ]
+
+    def test_tree_over_budget_is_caught_with_seed(self, monkeypatch):
+        # a returned tree that costs 1.0 more than the budget: check (c) fires
+        pipeline = arb_mod.solve_constrained_arborescence
+
+        def over_budget(inst, c0):
+            result = pipeline(inst, c0)
+            arb = dataclasses.replace(result.arborescence, cost=c0 + 1.0)
+            return dataclasses.replace(result, arborescence=arb)
+
+        monkeypatch.setattr(arb_mod, "solve_constrained_arborescence", over_budget)
+        report = run_oracle_suite(5, [4], seed=7)
+        assert not report.passed
+        assert [v["check"] for v in report.violations] == ["pipeline"] * 5
+        assert [v["seed"] for v in report.violations] == [
+            derive_trial_seed(7, idx) for idx in range(5)
+        ]
 
     def test_rejects_big_n(self):
         with pytest.raises(ValueError):
@@ -398,19 +430,19 @@ def _digest(text: str) -> str:
 class TestFrozenOutputs:
     """Reports pinned by SHA-256: a refactor that keeps outputs must keep
     these bytes. n=600 starts the dual's bracket search from the paper's
-    maximiser; block 600 holds an instance where greedy repair breaches the
+    maximiser; block 720 holds an instance where greedy repair breaches the
     budget and the Lagrangian arborescence fallback runs, so its clean
-    report has block 601's bytes."""
+    report has the bytes of blocks 600 and 601."""
 
     @pytest.mark.parametrize("s,budget,digest", [
         (1.0, BudgetSpec("power", 0.5),
-         "1ecf25fa204ac3a9a436ec99c98db1e7b7c70e05c9fcfd378401a1cfc27e43c7"),
+         "d039da9b52fcad29be0f206a24fd0dd9b1718891a958e92e8c3f2889dd2decae"),
         (1.0, BudgetSpec("alpha_n", 0.3),
-         "d15df5eb8465f7c5aab76ea12e104a07776ebd43db06a955049588802e59e382"),
+         "0ae95ca921ea895b8cfbf57964f57fc3e794475d9a8e289d0170d03ac4e12d18"),
         (1.0, BudgetSpec("absolute", 2.0),
-         "8c7da0fc002949b0d2b277af29679dd37bbbe8952be8ee7c595504f9a9edac90"),
+         "9e280a6005e1ebec17242c7e4d0e44f52b70b8d2f70743d6fc963aaf1ab1de1d"),
         (0.5, BudgetSpec("power", 0.75),
-         "849e4ae86c1df1f4bcec1bfb3b7cfadbe68bf6bcd5a8d8a62003a69f2def0bd1"),
+         "36958ab0d93f4b7f4eae7239b0b2bff1e27240646677f9a48db8aa627be27413"),
     ], ids=["CASE1", "CASE2", "CASE3", "THEOREM2"])
     def test_experiment_report(self, s, budget, digest):
         config = ExperimentConfig(n=600, s=s, trials=3, base_seed=11, budget=budget)
@@ -419,6 +451,7 @@ class TestFrozenOutputs:
     @pytest.mark.parametrize("block,digest", [
         (600, "5cb790b1e74cf21e38fc0e3931b4345c806c05cbfce841a55a85f39e2ea6b90e"),
         (601, "5cb790b1e74cf21e38fc0e3931b4345c806c05cbfce841a55a85f39e2ea6b90e"),
+        (720, "5cb790b1e74cf21e38fc0e3931b4345c806c05cbfce841a55a85f39e2ea6b90e"),
     ])
     def test_oracle_suite_report(self, block, digest):
         report = run_oracle_suite(108, (4, 5, 6), block)

@@ -23,15 +23,15 @@ from costarb import (
 from costarb import instance as instance_module
 from costarb.instance import _HEADER, _MAGIC, _THREADED_MIN_N, _VERSION
 
-# Philox output is algorithmically pinned, so the exact bytes are stable
-# across platforms and numpy versions.
-_FROZEN_DIGEST = "d43a361a0bd11668ee60e83a55119cfb4de749e264f6c7aa25f11f272c61991c"
+# PCG64's output and its jump-ahead are algorithmically pinned, so the
+# exact bytes are stable across platforms and numpy versions.
+_FROZEN_DIGEST = "e7c2d0858bbfe30c9b8b35fe85df875e109f927c0ba0f908390588874fa291a5"
 
 
 def _single_stream(n, seed):
     """Reference: both n x n uniforms drawn in one pass over the seed's
-    Philox stream, as generate did before it drew rows in chunks."""
-    gen = np.random.Generator(np.random.Philox(key=[seed & ((1 << 64) - 1), 0]))
+    PCG64 stream, as if generate drew all rows in one chunk."""
+    gen = np.random.Generator(np.random.PCG64(seed & ((1 << 64) - 1)))
     u_weights = gen.random((n, n))
     u_costs = gen.random((n, n))
     return u_weights, u_costs
@@ -101,17 +101,10 @@ def test_distinct_seeds_differ():
     assert not np.array_equal(a.weights, b.weights)
 
 
-# Philox's key is given as a list, which numpy casts to float64 when a seed
-# is 2**63 or more: neighbouring seeds there draw one stream, and 2**64 - 1
-# draws seed 0's. derive_trial_seed yields such seeds about half the time, so
-# passing the key exactly moves pinned digests; until then these fail.
-_ROUNDED_KEY = pytest.mark.xfail(
-    strict=True, reason="seeds of 2**63 and more are rounded to float64 in Philox's key"
-)
+# Pairs that a seed rounded to float64 would merge into one stream.
 _ROUNDED_PAIRS = [(2**63 + 5, 2**63 + 6), (2**64 - 1, 0)]
 
 
-@_ROUNDED_KEY
 @pytest.mark.parametrize("a,b", _ROUNDED_PAIRS)
 def test_distinct_high_seeds_differ(a, b):
     with warnings.catch_warnings():
@@ -119,7 +112,6 @@ def test_distinct_high_seeds_differ(a, b):
         assert not np.array_equal(generate(4, 1.0, a).weights, generate(4, 1.0, b).weights)
 
 
-@_ROUNDED_KEY
 @pytest.mark.parametrize("a,b", _ROUNDED_PAIRS)
 def test_distinct_high_seeds_differ_in_the_expectation_check(a, b):
     with warnings.catch_warnings():
@@ -127,6 +119,12 @@ def test_distinct_high_seeds_differ_in_the_expectation_check(a, b):
         means = [run_expectation_check(10, 0.1, 1.0, 100, seed).empirical_mean
                  for seed in (a, b)]
     assert means[0] != means[1]
+
+
+def test_high_seeds_and_zero_give_four_instances():
+    seeds = [a for pair in _ROUNDED_PAIRS for a in pair]
+    draws = {generate(4, 1.0, seed).weights.tobytes() for seed in seeds}
+    assert len(draws) == len(seeds)
 
 
 def test_invalid_parameters_rejected():
