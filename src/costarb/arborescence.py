@@ -350,6 +350,21 @@ def _enumerate_choice_sums(values: np.ndarray) -> np.ndarray:
     return totals
 
 
+def _mapping_sums(values: np.ndarray, n: int) -> np.ndarray:
+    """Each mapping's total of ``values``, flat by edge index, in the lex
+    order of the rows' choices read from the last row to the first."""
+    return _enumerate_choice_sums(values[_choice_table(n)])
+
+
+def _in_budget_weights(totals: np.ndarray, c0: float, kind: str) -> np.ndarray:
+    """The weights of the totals W + iC, +inf where C exceeds c0. Raises
+    InfeasibleBudgetError when no total fits."""
+    feasible = totals.imag <= c0
+    if not feasible.any():
+        raise InfeasibleBudgetError(f"no {kind} fits budget {c0:.6g}")
+    return np.where(feasible, totals.real, np.inf)
+
+
 def exact_mapping_oracle(instance: Instance, c0: float) -> Mapping:
     """Global constrained-mapping optimum by enumerating all (n-1)^n maps;
     of equally light ones, the first in lex order of the rows' choices."""
@@ -358,11 +373,7 @@ def exact_mapping_oracle(instance: Instance, c0: float) -> Mapping:
         raise SizeLimitError(f"mapping oracle capped at n={_ORACLE_MAX_N}, got {n}")
     if math.isnan(c0):
         raise ValueError(f"c0 must be a number, got {c0}")
-    totals = _enumerate_choice_sums(_edge_values(instance)[_choice_table(n)])
-    feasible = totals.imag <= c0
-    if not feasible.any():
-        raise InfeasibleBudgetError(f"no mapping fits budget {c0:.6g}")
-    weights = np.where(feasible, totals.real, np.inf)
+    weights = _in_budget_weights(_mapping_sums(_edge_values(instance), n), c0, "mapping")
     lightest = np.flatnonzero(weights == weights.min())
     # row i's choice digits, of each lightest map, are the enumeration's
     # index digits in reverse; take the lex-first map
@@ -371,6 +382,14 @@ def exact_mapping_oracle(instance: Instance, c0: float) -> Mapping:
     r = digits[:, np.ravel_multi_index(digits, shape).argmin()]
     # digit r of row i is its r-th out-neighbour: r, or r + 1 from r = i on
     return make_mapping(instance, r + (r >= np.arange(n)))
+
+
+def _exact_mapping_weight(instance: Instance, c0: float) -> float:
+    """``exact_mapping_oracle(instance, c0).weight``, bit for bit, without
+    choosing or building the map: the same enumeration's least in-budget
+    weight. The map's weight sums its edges in the enumeration's order."""
+    totals = _mapping_sums(_edge_values(instance), instance.n)
+    return float(_in_budget_weights(totals, c0, "mapping").min())
 
 
 @functools.lru_cache(maxsize=_ORACLE_MAX_N)
@@ -401,38 +420,48 @@ def _arborescence_table(n: int) -> np.ndarray:
     return table
 
 
+def _arborescence_sums(values: np.ndarray, n: int) -> np.ndarray:
+    """Each arborescence's total of ``values``, flat by edge index, in the
+    table's column order: summed over the non-root vertices in increasing
+    order from 0.0, the order of ``_enumerate_choice_sums``."""
+    table = _arborescence_table(n)
+    totals = np.zeros(table.shape[1], dtype=values.dtype)
+    # one row of edges at a time: a gather of the whole table allocates n - 1
+    # times as much per call, and took 2.5x as long at n = 6
+    for edges in table:
+        totals += values[edges]
+    return totals
+
+
 def exact_arborescence_oracle(instance: Instance, c0: float) -> Arborescence:
     """Global constrained optimum over every spanning arborescence.
 
-    The arborescences are the columns of a table built once per n. Weights
-    and costs are summed over the non-root vertices in increasing order from
-    0.0, the order of ``_enumerate_choice_sums``, and the first lightest
-    in-budget column wins: the earliest root, and the first arborescence in
-    that root's lex order.
+    The arborescences are the columns of a table built once per n, and the
+    first lightest in-budget column wins: the earliest root, and the first
+    arborescence in that root's lex order.
     """
     n = instance.n
     if n > _ORACLE_MAX_N:
         raise SizeLimitError(f"arborescence oracle capped at n={_ORACLE_MAX_N}, got {n}")
     if math.isnan(c0):
         raise ValueError(f"c0 must be a number, got {c0}")
-    table = _arborescence_table(n)
-    values = _edge_values(instance)
-    totals = np.zeros(table.shape[1], dtype=complex)
-    # one row of edges at a time: a gather of the whole table allocates n - 1
-    # times as much per call, and took 2.5x as long at n = 6
-    for edges in table:
-        totals += values[edges]
-    w, c = totals.real, totals.imag
-    feasible = c <= c0
-    if not feasible.any():
-        raise InfeasibleBudgetError(f"no arborescence fits budget {c0:.6g}")
-    best = int(np.argmin(np.where(feasible, w, np.inf)))
-    edges = table[:, best]
+    totals = _arborescence_sums(_edge_values(instance), n)
+    best = int(np.argmin(_in_budget_weights(totals, c0, "arborescence")))
+    edges = _arborescence_table(n)[:, best]
     parent = np.full(n, -1, dtype=np.int64)
     parent[edges // n] = edges % n
     return Arborescence(
-        root=best // n ** (n - 2), parent=parent, weight=float(w[best]), cost=float(c[best])
+        root=best // n ** (n - 2), parent=parent,
+        weight=float(totals.real[best]), cost=float(totals.imag[best]),
     )
+
+
+def _exact_arborescence_weight(instance: Instance) -> float:
+    """``exact_arborescence_oracle(instance, inf).weight``, bit for bit:
+    the least total of the weights alone. Every cost is finite, so every
+    arborescence fits, and a sum of the real parts is the real part of the
+    complex sum."""
+    return float(_arborescence_sums(instance.weights.ravel(), instance.n).min())
 
 
 @dataclass(frozen=True, eq=False)

@@ -94,13 +94,25 @@ def _g_prime_excess(beta: float) -> float:
         m += 1
 
 
+def _case3_left_end(alpha: float) -> float:
+    """A b left of the root of g'(b) = alpha > 1. g'(b) ~ sqrt(pi/(8b)) for
+    small b, so g'(pi/(16 alpha**2)) is about sqrt(2)*alpha; it is divided
+    by alpha twice, as alpha**2 overflows from about 1.3e154. Raises
+    ArithmeticError where it underflows, from alpha of about 1e161."""
+    lo = min(1e-12, math.pi / 16.0 / alpha / alpha)
+    if lo == 0.0:
+        raise ArithmeticError(f"the CASE3 root underflows at alpha = {alpha}")
+    return lo
+
+
 def beta_star(alpha: float, case: str) -> float:
     """Unique positive root of f'(b) = alpha (CASE2) or g'(b) = alpha (CASE3).
 
     Bisection on the strictly decreasing derivative; the bracket grows by
     doubling until it straddles the root. CASE3 solves g'(b) - 1 = alpha - 1,
     whose sides keep their relative accuracy where g' is flat near 1. Stops
-    when the bracket is narrower than 1e-15 of its upper end.
+    when the bracket is narrower than 1e-15 of its upper end, or, among
+    subnormals, when no float lies inside it.
     """
     if case == "CASE2":
         if not 0.0 < alpha < 0.5:
@@ -108,13 +120,10 @@ def beta_star(alpha: float, case: str) -> float:
         deriv, target = f_prime, alpha
         lo = 0.0
     elif case == "CASE3":
-        if alpha <= 1.0:
+        if not alpha > 1.0:
             raise ValueError(f"CASE3 requires alpha > 1, got {alpha}")
         deriv, target = _g_prime_excess, alpha - 1.0
-        # g'(b) ~ sqrt(pi/(8b)) for small b, so this lies left of the root
-        lo = min(1e-12, math.pi / (16.0 * alpha * alpha))
-        while deriv(lo) <= target:
-            lo /= 4.0
+        lo = _case3_left_end(alpha)
     else:
         raise ValueError(f"case must be CASE2 or CASE3, got {case!r}")
 
@@ -124,14 +133,16 @@ def beta_star(alpha: float, case: str) -> float:
         if hi > 1e300:
             raise ArithmeticError("bracket for beta_star failed to close")
 
-    # a width of one ulp of hi is below the stop, so the halving ends
-    while hi - lo > 1e-15 * hi:
-        mid = 0.5 * (lo + hi)
+    # a width of one ulp of hi is below the stop, so the halving ends; among
+    # subnormals, whose ulp is wider, it ends when no float lies between
+    mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-15 * hi and lo < mid < hi:
         if deriv(mid) > target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def gamma_fn(x: float) -> float:

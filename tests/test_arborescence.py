@@ -1040,3 +1040,51 @@ class TestArborescenceTable:
         arb = exact_arborescence_oracle(generate(6, 1.0, 6), 3.0)
         # the answer is the caller's own array, not a view of the table
         assert arb.parent.flags.writeable and arb.parent.flags.owndata
+
+
+def _instances_for_the_optimum_weights(n):
+    """Drawn instances at s = 1 and 0.6, then grids of eighths, one with
+    -0.0 for its zeros."""
+    for s in (1.0, 0.6):
+        for seed in range(6 if n < 7 else 2):
+            yield generate(n, s, seed)
+    rng = np.random.default_rng(500 + n)
+    for k in range(8 if n < 7 else 2):
+        w, c = rng.integers(0, 9, (2, n, n)) / 8
+        if k % 2:
+            w, c = np.where(w == 0, -0.0, w), np.where(c == 0, -0.0, c)
+        yield from_arrays(w, c)
+
+
+class TestOptimumWeights:
+    """The oracle suite's checks (a) and (b) read the exhaustive optimum's
+    weight without building the optimum; it is the public oracle's, bit for
+    bit, and the same error where no mapping fits."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_arborescence_weight_is_the_oracle_weight(self, n):
+        for inst in _instances_for_the_optimum_weights(n):
+            expected = exact_arborescence_oracle(inst, math.inf).weight
+            assert arb_mod._exact_arborescence_weight(inst).hex() == expected.hex()
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_mapping_weight_is_the_oracle_weight(self, n):
+        def weight_or_error(weight_of, inst, c0):
+            try:
+                return weight_of(inst, c0).hex()
+            except InfeasibleBudgetError as exc:
+                return str(exc)
+
+        def public(inst, c0):
+            return exact_mapping_oracle(inst, c0).weight
+
+        for inst in _instances_for_the_optimum_weights(n):
+            edge = min_cost_sum(inst)
+            below = float(np.nextafter(edge, -math.inf))
+            for c0 in (math.inf, 0.5 * n, 0.3 * n, edge, below):
+                assert weight_or_error(arb_mod._exact_mapping_weight, inst, c0) == (
+                    weight_or_error(public, inst, c0)
+                ), (n, c0)
+            # the cheapest map fits its own cost, and nothing fits below it
+            assert weight_or_error(public, inst, edge).startswith("0x")
+            assert weight_or_error(public, inst, below).startswith("no mapping fits")

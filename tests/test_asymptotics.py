@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import pytest
@@ -17,6 +18,7 @@ from costarb import (
     lambda_hint,
     predict,
 )
+from costarb import asymptotics
 
 
 def quad_f(beta):
@@ -126,11 +128,35 @@ class TestBetaStar:
         for alpha in (0.0, 0.5, 0.7, -1.0):
             with pytest.raises(ValueError):
                 beta_star(alpha, "CASE2")
-        for alpha in (1.0, 0.5):
-            with pytest.raises(ValueError):
+        for alpha in (1.0, 0.5, math.nan):
+            with pytest.raises(ValueError, match=f"CASE3 requires alpha > 1, got {alpha}"):
                 beta_star(alpha, "CASE3")
         with pytest.raises(ValueError):
             beta_star(0.3, "CASE9")
+
+    @pytest.mark.parametrize("alpha", [1e150, 1e160])
+    def test_case3_huge_alpha_meets_the_small_b_asymptote(self, alpha):
+        # g'(b) is sqrt(pi/(8b)) to the last bit for tiny b; at 1e160 the root
+        # is subnormal, within a float of pi/(8 alpha**2) and its rounding
+        b = beta_star(alpha, "CASE3")
+        assert abs(b - math.pi / 8.0 / alpha / alpha) <= 1e-14 * b + 2 * math.ulp(0.0)
+
+    @pytest.mark.parametrize("alpha", [1e200, math.inf])
+    def test_case3_root_that_underflows_names_alpha(self, alpha):
+        with pytest.raises(ArithmeticError, match=re.escape(f"underflows at alpha = {alpha}")):
+            beta_star(alpha, "CASE3")
+
+    def test_case3_left_end_lies_left_of_the_root(self):
+        # g' is decreasing, so the bisection needs g'(lo) > alpha at its start
+        for k in range(-12, 161):
+            alpha = 1.0 + 10.0 ** k
+            lo = asymptotics._case3_left_end(alpha)
+            assert asymptotics._g_prime_excess(lo) > alpha - 1.0, alpha
+
+    def test_bracket_that_does_not_close_raises(self):
+        # f'(b) ~ sqrt(pi/(8b)) stays above 1e-300 past b = 1e300
+        with pytest.raises(ArithmeticError, match="bracket for beta_star failed to close"):
+            beta_star(1e-300, "CASE2")
 
 
 class TestUnimodality:

@@ -158,6 +158,28 @@ class TestRunExperiment:
             report.aggregates["w_arb"]["mean"] / report.prediction["w_star"]
         )
 
+    def test_case1_warns_when_w_max_used_leaves_its_envelope(self, monkeypatch):
+        config = ExperimentConfig(
+            n=400, s=1.0, trials=2, base_seed=1, budget=BudgetSpec("power", 0.5)
+        )
+        assert run_experiment(config).warnings == []
+        pipeline = arb_mod.solve_constrained_arborescence
+
+        def heavy_edge(inst, c0):
+            result = pipeline(inst, c0)
+            return dataclasses.replace(result, trace={**result.trace, "w_max_used": 50.0})
+
+        monkeypatch.setattr(arb_mod, "solve_constrained_arborescence", heavy_edge)
+        report = run_experiment(config)
+        assert report.prediction["regime"] == "CASE1"
+        assert [r["w_max_used"] for r in report.rows] == [50.0, 50.0]
+        envelope = 20.0 * math.sqrt(math.log(400) / 400)
+        worst = 50.0 - envelope * (1.0 + min(r["lambda_star"] for r in report.rows))
+        assert report.warnings == [
+            f"w_max_used exceeded 20*(1+lambda*)*sqrt(log n/n) by up to {worst:.4g}"
+        ]
+        assert report.to_dict()["warnings"] == report.warnings
+
 
 class TestExpectationCheck:
     def test_lambda_zero_matches_exact_mean(self):
@@ -212,6 +234,18 @@ class TestOracleSuite:
         )
         report = run_oracle_suite(108, (4, 5, 6), 601)
         assert len(calls) == 108
+        assert report.passed, report.violations
+
+    def test_no_exhaustive_optimum_is_built(self, monkeypatch):
+        # checks (a) and (b) read only the exhaustive optimum's weight
+        calls = []
+        for name in ("exact_arborescence_oracle", "exact_mapping_oracle"):
+            oracle = getattr(arb_mod, name)
+            monkeypatch.setattr(
+                arb_mod, name, lambda *args, oracle=oracle: calls.append(1) or oracle(*args)
+            )
+        report = run_oracle_suite(108, (4, 5, 6), 601)
+        assert calls == []
         assert report.passed, report.violations
 
     def test_rejects_a_negative_count(self):
