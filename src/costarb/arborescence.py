@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -48,17 +48,14 @@ class Arborescence:
     weight: float
     cost: float
 
-    def to_dict(self, trace: Optional[dict] = None) -> dict:
+    def to_dict(self) -> dict:
         parents = [None if v == self.root else int(p) for v, p in enumerate(self.parent)]
-        out = {
+        return {
             "root": int(self.root),
             "parent": parents,
             "weight": self.weight,
             "cost": self.cost,
         }
-        if trace is not None:
-            out["trace"] = trace
-        return out
 
 
 def decompose(mapping: Union[Mapping, np.ndarray]) -> Decomposition:
@@ -464,11 +461,27 @@ def _exact_arborescence_weight(instance: Instance) -> float:
     return float(_arborescence_sums(instance.weights.ravel(), instance.n).min())
 
 
+class Trace(NamedTuple):
+    """A pipeline run's report beside its tree and lower bound; rows take these names."""
+
+    lambda_star: float  # the mapping dual's maximiser
+    mapping_weight: float  # the mapping the repair started from
+    mapping_cost: float
+    cycles_broken: int  # the mapping's cycles, also when the fallback ran
+    w_max_used: float  # the mapping's heaviest edge weight
+    c_max_used: float  # and its costliest edge cost
+    slack_used: float  # the tree's cost minus the mapping's
+    dual_full_evaluations: int
+    dual_candidate_evaluations: int
+    dual_candidate_width: int
+    edmonds_calls: int  # the fallback's; 0 when the repaired tree fit
+
+
 @dataclass(frozen=True, eq=False)
 class PipelineResult:
     arborescence: Arborescence
     lower_bound: float
-    trace: dict = field(default_factory=dict)
+    trace: dict
 
 
 class _EdmondsEvaluator:
@@ -528,11 +541,9 @@ def solve_constrained_arborescence(instance: Instance, c0: float) -> PipelineRes
     when no mapping fits c0, or when the cheapest-cost arborescence does not.
 
     The lower bound certifies the constrained-mapping optimum; it and
-    lambda* stay the mapping dual's when the fallback runs. The trace
-    records the dual maximiser, how many dual evaluations of each kind it
-    took, its candidate columns per row, how many cycles were broken and
-    edges added, how much more the arborescence costs than the mapping, and
-    the fallback's Edmonds calls (0 when the repair fit).
+    lambda* stay the mapping dual's when the fallback runs. The trace is
+    ``Trace._asdict()``: the mapping, the dual's counters, the cycles broken,
+    the slack used and the fallback's Edmonds calls (0 when the repair fit).
     """
     solution = solve_mapping(instance, c0)
     opt = solution.dual
@@ -544,19 +555,10 @@ def solve_constrained_arborescence(instance: Instance, c0: float) -> PipelineRes
     ok, diags = validate(arb, instance)
     if not ok:
         raise AssertionError(f"the pipeline produced an invalid arborescence: {diags}")
-    trace = {
-        "lambda_star": opt.lambda_star,
-        "lower_bound": solution.lower_bound,
-        "mapping_weight": solution.mapping.weight,
-        "mapping_cost": solution.mapping.cost,
-        "cycles_broken": len(dec.cycles),
-        "edges_added": len(dec.cycles) - 1,
-        "w_max_used": solution.w_max_used,
-        "c_max_used": solution.c_max_used,
-        "slack_used": arb.cost - solution.mapping.cost,
-        "dual_full_evaluations": opt.full_evaluations,
-        "dual_candidate_evaluations": opt.candidate_evaluations,
-        "dual_candidate_width": opt.candidate_width,
-        "edmonds_calls": edmonds_calls,
-    }
-    return PipelineResult(arborescence=arb, lower_bound=solution.lower_bound, trace=trace)
+    trace = Trace(
+        opt.lambda_star, solution.mapping.weight, solution.mapping.cost,
+        len(dec.cycles), solution.w_max_used, solution.c_max_used,
+        arb.cost - solution.mapping.cost, opt.full_evaluations,
+        opt.candidate_evaluations, opt.candidate_width, edmonds_calls,
+    )
+    return PipelineResult(arb, solution.lower_bound, trace._asdict())

@@ -130,7 +130,8 @@ def _cmd_solve(args) -> int:
     inst = _load_or_generate(args)
     c0 = _budget_spec(args).resolve(inst.n)
     result = arb_mod.solve_constrained_arborescence(inst, c0)
-    _emit(result.arborescence.to_dict(trace=result.trace), args.out)
+    tree = result.arborescence.to_dict()
+    _emit({**tree, "lower_bound": result.lower_bound, "trace": result.trace}, args.out)
     return EXIT_OK
 
 
@@ -143,6 +144,9 @@ def _cmd_dual(args) -> int:
         "phi_star": opt.phi_star,
         "mapping_low": {"weight": opt.mapping_low.weight, "cost": opt.mapping_low.cost},
         "mapping_high": {"weight": opt.mapping_high.weight, "cost": opt.mapping_high.cost},
+        "full_evaluations": opt.full_evaluations,
+        "candidate_evaluations": opt.candidate_evaluations,
+        "candidate_width": opt.candidate_width,
     }
     _emit(payload, args.out)
     return EXIT_OK

@@ -3,7 +3,8 @@
 Trials are independent — each derives its own seed from the base seed and
 its index — so they can run across a worker pool; rows are always merged in
 trial order, making reports byte-identical at any parallelism level.
-Reports go out as JSON (schema version 3) plus a CSV of the per-trial rows.
+Reports go out as JSON (schema version 4) plus a CSV of the per-trial rows,
+whose columns are the trial's own and the pipeline's ``Trace`` fields.
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ from . import arborescence as arb_mod
 from . import asymptotics, dual, instance as inst_mod
 from .errors import AmbiguousRegimeError, CostarbError, InfeasibleBudgetError
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
-_ROW_FIELDS = [
-    "trial", "seed", "lambda_star", "lower_bound", "w_map", "c_map",
-    "w_arb", "c_arb", "cycles", "edges_added", "w_max_used", "c_max_used",
-    "edmonds_calls", "failure",
-]
+_ROW_FIELDS = (
+    "trial", "seed", "lower_bound", "w_arb", "c_arb", *arb_mod.Trace._fields, "failure",
+)
 
 
 @dataclass(frozen=True)
@@ -99,19 +98,9 @@ def _run_trial(args: tuple) -> dict:
     except InfeasibleBudgetError:
         row["failure"] = "infeasible"
         return row
-    tr = result.trace
     row.update(
-        lambda_star=tr["lambda_star"],
-        lower_bound=tr["lower_bound"],
-        w_map=tr["mapping_weight"],
-        c_map=tr["mapping_cost"],
-        w_arb=result.arborescence.weight,
-        c_arb=result.arborescence.cost,
-        cycles=tr["cycles_broken"],
-        edges_added=tr["edges_added"],
-        w_max_used=tr["w_max_used"],
-        c_max_used=tr["c_max_used"],
-        edmonds_calls=tr["edmonds_calls"],
+        result.trace, lower_bound=result.lower_bound,
+        w_arb=result.arborescence.weight, c_arb=result.arborescence.cost,
     )
     return row
 
@@ -168,7 +157,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         for t in range(config.trials)
     ]
     if config.parallelism > 1 and config.trials > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+        # forked workers all start on the first submit: no more than trials
+        with ProcessPoolExecutor(max_workers=min(config.parallelism, config.trials)) as pool:
             rows = list(pool.map(_run_trial, work, chunksize=1))
     else:
         rows = [_run_trial(w) for w in work]
@@ -182,7 +172,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     good = [r for r in rows if r["failure"] is None]
     aggregates = {
         "w_arb": _aggregate([r["w_arb"] for r in good]),
-        "w_map": _aggregate([r["w_map"] for r in good]),
+        "mapping_weight": _aggregate([r["mapping_weight"] for r in good]),
         "feasibility_rate": sum(
             1 for r in good if r["c_arb"] <= c0
         ) / config.trials,
@@ -367,14 +357,14 @@ def _oracle_block(indices: range, n_values: list, seed: int) -> list:
             continue
         tr = result.trace
         optimum = arb_mod._exact_mapping_weight(inst, c0)
-        if tr["lower_bound"] > optimum + 1e-9:
-            out.append(("weak-duality", f"phi* {tr['lower_bound']!r} > IP {optimum!r}"))
+        if result.lower_bound > optimum + 1e-9:
+            out.append(("weak-duality", f"phi* {result.lower_bound!r} > IP {optimum!r}"))
 
         # the pipeline validated its tree, and raises AssertionError on an invalid one
         if result.arborescence.cost > c0:
             out.append(("pipeline", f"cost {result.arborescence.cost!r} > budget {c0!r}"))
 
-        bound = tr["lower_bound"] + tr["w_max_used"] + 1e-9
+        bound = result.lower_bound + tr["w_max_used"] + 1e-9
         if tr["mapping_weight"] > bound:
             out.append(("gap-sandwich", f"weight {tr['mapping_weight']!r} > phi*+w_max {bound!r}"))
 

@@ -408,8 +408,8 @@ class TestPipeline:
         inst = generate(30, 1.0, 2)
         res = solve_constrained_arborescence(inst, 6.0)
         tr = res.trace
+        assert list(tr) == list(arb_mod.Trace._fields)
         assert tr["cycles_broken"] >= 1
-        assert tr["edges_added"] == tr["cycles_broken"] - 1
         assert tr["lambda_star"] >= 0
         assert tr["edmonds_calls"] == 0
         assert res.lower_bound <= res.arborescence.weight + tr["w_max_used"] + 1e-9
@@ -439,10 +439,8 @@ class TestPipeline:
 
 def test_arborescence_json_dict(worked):
     arb = exact_arborescence_oracle(worked, 1.4)
-    d = arb.to_dict(trace={"lambda_star": 0.5})
-    assert d["root"] == 2
-    assert d["parent"] == [1, 2, None]
-    assert d["trace"]["lambda_star"] == 0.5
+    d = arb.to_dict()
+    assert d == {"root": 2, "parent": [1, 2, None], "weight": arb.weight, "cost": arb.cost}
 
 
 # Reference: the cycle search that the recursive Edmonds made with a colour

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from costarb import from_arrays, generate, load, save
+from costarb import (
+    from_arrays, generate, load, maximize_dual, save, solve_constrained_arborescence,
+)
 from costarb.cli import main
 
 
@@ -133,6 +135,17 @@ class TestSolve:
         assert payload["parent"][payload["root"]] is None
         assert payload["trace"]["cycles_broken"] >= 1
 
+    def test_payload_is_the_tree_its_bound_and_the_trace(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--n", "30", "--seed", "2", "--c0", "6.0")
+        assert code == 0
+        result = solve_constrained_arborescence(generate(30, 1.0, 2), 6.0)
+        assert json.loads(out) == {
+            **result.arborescence.to_dict(),
+            "lower_bound": result.lower_bound,
+            "trace": result.trace,
+        }
+        assert "lower_bound" not in result.trace
+
     def test_writes_its_out_file(self, tmp_path, capsys):
         path = tmp_path / "tree.json"
         args = ("solve", "--n", "5", "--seed", "1", "--c0", "100")
@@ -204,6 +217,16 @@ class TestDualCommand:
         payload = json.loads(out)
         assert payload["mapping_high"]["cost"] <= payload["mapping_low"]["cost"]
 
+    @pytest.mark.parametrize("n,c0", [(10, "2.0"), (300, "17.0")])
+    def test_reports_the_counters(self, capsys, n, c0):
+        code, out, _ = run_cli(capsys, "dual", "--n", str(n), "--seed", "4", "--c0", c0)
+        assert code == 0
+        payload = json.loads(out)
+        opt = maximize_dual(generate(n, 1.0, 4), float(c0))
+        assert payload["full_evaluations"] == opt.full_evaluations > 0
+        assert payload["candidate_evaluations"] == opt.candidate_evaluations
+        assert payload["candidate_width"] == opt.candidate_width > 0
+
     @pytest.mark.parametrize("tighten", ["7.5", "-3"])
     def test_tighten_is_a_usage_error(self, capsys, tighten):
         # the dual has no repair to reserve budget for; the flag was once
@@ -237,7 +260,7 @@ class TestExperimentCommand:
         )
         assert code == 0
         payload = json.loads((tmp_path / "exp.json").read_text())
-        assert payload["schema"] == 3 and len(payload["rows"]) == 3
+        assert payload["schema"] == 4 and len(payload["rows"]) == 3
         assert (tmp_path / "exp.csv").read_text().count("\n") == 4
 
     def test_json_to_stdout(self, capsys):
@@ -247,7 +270,7 @@ class TestExperimentCommand:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == 3 and len(payload["rows"]) == 2
+        assert payload["schema"] == 4 and len(payload["rows"]) == 2
 
     def test_csv_to_stdout(self, capsys):
         code, out, _ = run_cli(

@@ -77,6 +77,30 @@ class TestRunExperiment:
         assert serial.to_json() == parallel.to_json()
         assert serial.rows_csv() == parallel.rows_csv()
 
+    def test_pool_never_outnumbers_the_trials(self, monkeypatch):
+        # a forked pool starts all its workers on the first submit, so the
+        # pool is sized to the trials; the fake pool starts no process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work, chunksize=1):
+                return map(fn, work)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        report = run_experiment(small_config(trials=2, parallelism=5000))
+        run_experiment(small_config(trials=5, parallelism=3))
+        assert sizes == [2, 3]
+        assert report.to_json() == run_experiment(small_config(trials=2)).to_json()
+
     def test_slack_budget_single_trial_equals_edmonds(self):
         config = small_config(n=5, trials=1, base_seed=0, budget=BudgetSpec("absolute", 100.0))
         report = run_experiment(config)
@@ -107,7 +131,7 @@ class TestRunExperiment:
     def test_schema_and_files(self, tmp_path):
         report = run_experiment(small_config())
         payload = report.to_dict()
-        assert payload["schema"] == 3
+        assert payload["schema"] == 4
         assert "tighten" not in payload["config"]
         assert "parallelism" not in payload["config"]
         jp, cp = tmp_path / "r.json", tmp_path / "r.csv"
@@ -115,7 +139,8 @@ class TestRunExperiment:
         loaded = json.loads(jp.read_text())
         assert loaded["c0"] == report.c0
         header = cp.read_text().splitlines()[0]
-        assert header.startswith("trial,seed,lambda_star,lower_bound,w_map")
+        assert header.startswith("trial,seed,lower_bound,w_arb,c_arb,lambda_star,mapping_weight")
+        assert header.split(",")[5:-1] == list(arb_mod.Trace._fields)
         assert header.endswith(",edmonds_calls,failure")
         assert all(r["edmonds_calls"] == 0 for r in report.rows if r["failure"] is None)
 
@@ -391,13 +416,13 @@ def _reference_oracle_suite(count, n_range, seed):
         tr = result.trace
 
         exact_map = arb_mod.exact_mapping_oracle(inst, c0)
-        if tr["lower_bound"] > exact_map.weight + 1e-9:
-            record("weak-duality", f"phi* {tr['lower_bound']!r} > IP {exact_map.weight!r}")
+        if result.lower_bound > exact_map.weight + 1e-9:
+            record("weak-duality", f"phi* {result.lower_bound!r} > IP {exact_map.weight!r}")
 
         if result.arborescence.cost > c0:
             record("pipeline", f"cost {result.arborescence.cost!r} > budget {c0!r}")
 
-        bound = tr["lower_bound"] + tr["w_max_used"] + 1e-9
+        bound = result.lower_bound + tr["w_max_used"] + 1e-9
         if tr["mapping_weight"] > bound:
             record("gap-sandwich", f"weight {tr['mapping_weight']!r} > phi*+w_max {bound!r}")
 
@@ -461,26 +486,81 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# Schema 4 renamed three row keys and the aggregate w_map, dropped
+# edges_added and added slack_used and the dual's counters.
+_SCHEMA_3_NAMES = {"mapping_weight": "w_map", "mapping_cost": "c_map", "cycles_broken": "cycles"}
+_SCHEMA_4_ONLY = (
+    "slack_used", "dual_full_evaluations", "dual_candidate_evaluations", "dual_candidate_width",
+)
+
+
+def _schema_3_json(report) -> str:
+    """A schema-4 report mapped back to the schema-3 layout, as to_json wrote it."""
+    payload = report.to_dict()
+    rows = []
+    for row in payload["rows"]:
+        old = {_SCHEMA_3_NAMES.get(k, k): v for k, v in row.items() if k not in _SCHEMA_4_ONLY}
+        cycles = row["cycles_broken"]
+        old["edges_added"] = None if cycles is None else cycles - 1
+        rows.append(old)
+    aggregates = {_SCHEMA_3_NAMES.get(k, k): v for k, v in payload["aggregates"].items()}
+    payload.update(schema=3, rows=rows, aggregates=aggregates)
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _assert_slack_is_the_cost_difference(report):
+    for row in report.rows:
+        if row["failure"] is None:
+            assert row["slack_used"] == row["c_arb"] - row["mapping_cost"]
+
+
 class TestFrozenOutputs:
     """Reports pinned by SHA-256: a refactor that keeps outputs must keep
     these bytes. n=600 starts the dual's bracket search from the paper's
     maximiser; block 720 holds an instance where greedy repair breaches the
     budget and the Lagrangian arborescence fallback runs, so its clean
-    report has the bytes of blocks 600 and 601."""
+    report has the bytes of blocks 600 and 601.
 
-    @pytest.mark.parametrize("s,budget,digest", [
+    Each experiment report, mapped back to schema 3, keeps the bytes that
+    schema 3 pinned."""
+
+    @pytest.mark.parametrize("s,budget,digest,schema_3_digest", [
         (1.0, BudgetSpec("power", 0.5),
+         "1ad76550aed61176a0158853d42b607d7f1be42efaaa6bd1739b345a7a276ace",
          "d039da9b52fcad29be0f206a24fd0dd9b1718891a958e92e8c3f2889dd2decae"),
         (1.0, BudgetSpec("alpha_n", 0.3),
+         "51ac2c3154c38c3caa0e81f660cf569ecb410e1ef271fbad056c838b33f8ff72",
          "0ae95ca921ea895b8cfbf57964f57fc3e794475d9a8e289d0170d03ac4e12d18"),
         (1.0, BudgetSpec("absolute", 2.0),
+         "b9f1972e6cf18dd797362dd758e54bc087275ab672cfd263956307b0398194c3",
          "9e280a6005e1ebec17242c7e4d0e44f52b70b8d2f70743d6fc963aaf1ab1de1d"),
         (0.5, BudgetSpec("power", 0.75),
+         "0f664332c555cc289fbdb953bcb0de96e08c367131e158194612f486f95a6c90",
          "36958ab0d93f4b7f4eae7239b0b2bff1e27240646677f9a48db8aa627be27413"),
     ], ids=["CASE1", "CASE2", "CASE3", "THEOREM2"])
-    def test_experiment_report(self, s, budget, digest):
+    def test_experiment_report(self, s, budget, digest, schema_3_digest):
         config = ExperimentConfig(n=600, s=s, trials=3, base_seed=11, budget=budget)
-        assert _digest(run_experiment(config).to_json()) == digest
+        report = run_experiment(config)
+        assert _digest(report.to_json()) == digest
+        assert _digest(_schema_3_json(report)) == schema_3_digest
+        _assert_slack_is_the_cost_difference(report)
+
+    def test_fallback_trial_report(self):
+        # trial 2 breaches the budget in repair and returns the fallback's
+        # tree; the schema-3 digest was taken before the rows took the
+        # trace's names
+        config = ExperimentConfig(
+            n=300, s=1.0, trials=3, base_seed=3, budget=BudgetSpec("absolute", 2.0)
+        )
+        report = run_experiment(config)
+        assert [row["edmonds_calls"] for row in report.rows] == [0, 0, 12]
+        assert _digest(report.to_json()) == (
+            "5fdcd9c0f8d0f7096bb35d3b668512f93f3b2961c180f683cfb023618383b26c"
+        )
+        assert _digest(_schema_3_json(report)) == (
+            "dc3856357bd4e37e963100fabad15786ff4c8552b93636e4c2cc9de83d7db640"
+        )
+        _assert_slack_is_the_cost_difference(report)
 
     @pytest.mark.parametrize("block,digest", [
         (600, "5cb790b1e74cf21e38fc0e3931b4345c806c05cbfce841a55a85f39e2ea6b90e"),
