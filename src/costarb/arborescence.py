@@ -118,7 +118,6 @@ def repair(
     if not 0.0 <= lambda_star < math.inf:
         raise ValueError(f"lambda_star must be nonnegative and finite, got {lambda_star}")
     n = instance.n
-    weights, costs = instance.weights, instance.costs
 
     order = sorted(
         range(len(dec.cycles)), key=lambda cid: (-dec.component_sizes[cid], cid)
@@ -128,34 +127,39 @@ def repair(
     running_c = mapping.cost
     rooted = np.zeros(n, dtype=bool)
 
+    # the vertex that loses its out-edge, and that edge's weight and cost
     def break_vertex(cycle):
-        scores = [weights[v, parent[v]] + lambda_star * costs[v, parent[v]] for v in cycle]
+        weights, costs = instance.edges(cycle, parent[cycle])
+        scores = (weights + lambda_star * costs).tolist()
         top = max(scores)
-        return min(v for v, sc in zip(cycle, scores) if sc == top)
+        k = cycle.index(min(v for v, sc in zip(cycle, scores) if sc == top))
+        return cycle[k], weights[k], costs[k]
 
     root_cid = order[0]
-    root = break_vertex(dec.cycles[root_cid])
-    running_w -= weights[root, parent[root]]
-    running_c -= costs[root, parent[root]]
+    root, weight, cost = break_vertex(dec.cycles[root_cid])
+    running_w -= weight
+    running_c -= cost
     parent[root] = -1
     rooted[dec.component_of == root_cid] = True
 
     for cid in order[1:]:
-        v = break_vertex(dec.cycles[cid])
-        running_w -= weights[v, parent[v]]
-        running_c -= costs[v, parent[v]]
+        v, weight, cost = break_vertex(dec.cycles[cid])
+        running_w -= weight
+        running_c -= cost
         room = c0 - running_c
 
+        # the freed vertex's whole row: the only one that repair reads
+        weights, costs = instance.edges(v)
         with np.errstate(invalid="ignore"):  # lam=0 turns the inf diagonal into nan
-            scores = weights[v] + lambda_star * costs[v]
-        scores = np.where(rooted & (costs[v] <= room), scores, np.inf)
+            scores = weights + lambda_star * costs
+        scores = np.where(rooted & (costs <= room), scores, np.inf)
         if np.isinf(scores.min()):
             # fall back to the cheapest reconnection; later breaks may regain the budget
-            scores = np.where(rooted, costs[v], np.inf)
+            scores = np.where(rooted, costs, np.inf)
         u = int(np.argmin(scores))
         parent[v] = u
-        running_w += weights[v, u]
-        running_c += costs[v, u]
+        running_w += weights[u]
+        running_c += costs[u]
         rooted[dec.component_of == cid] = True
 
     return Arborescence(root=root, parent=parent, weight=float(running_w), cost=float(running_c))
@@ -199,8 +203,8 @@ def validate(arb: Arborescence, instance: Instance) -> tuple[bool, list]:
         return False, diags
 
     rows = np.asarray(non_root)
-    w = float(instance.weights[rows, parent[rows]].sum())
-    c = float(instance.costs[rows, parent[rows]].sum())
+    weights, costs = instance.edges(rows, parent[rows])
+    w, c = float(weights.sum()), float(costs.sum())
     if abs(w - arb.weight) > 1e-9:
         diags.append(f"weight field {arb.weight!r} != recomputed {w!r}")
     if abs(c - arb.cost) > 1e-9:

@@ -12,12 +12,19 @@ column tie-break, so its maximiser is the breakpoint where the subgradient
 changes sign. The feasible-side argmin plus a one-row swap closes the
 duality gap to at most one edge weight.
 
-Each row's cheapest-cost edge, which the instance holds from the pass
-that made it (``Instance.cheapest_costs``), serves twice: the costs sum to
-the cheapest any mapping can cost, so a smaller budget is infeasible, and
-the edges are the lam -> inf argmins that the one-row swap moves a row
-onto. Each row's lightest edge (``Instance.cheapest_weights``) is the
-lam = 0 argmin, so whether the budget binds at all costs no pass.
+Each row's cheapest-cost edge (``Instance.cheapest_costs``) serves
+twice: the costs sum to the cheapest any mapping can cost, so a smaller
+budget is infeasible, and the edges are the lam -> inf argmins that the
+one-row swap moves a row onto. Each row's lightest edge
+(``Instance.cheapest_weights``) is the lam = 0 argmin, so whether the
+budget binds at all costs no pass of its own. A generated instance is
+drawn by its first pass (``Instance.scan``), which finds those edges while
+it draws; ``maximize_dual`` makes that pass first, at the first bracket
+ends when the paper gives a maximiser (stage 1), so the trial's one
+streamed pass also evaluates both ends and collects the candidates. A
+later pass stores the matrices first. Every later read, by the dual, the
+swap and the arborescence stages, gathers entries that a pass named
+(``Instance.edges``), and the dual never asks how the instance is held.
 
 The maximiser is found exactly, in three stages, of which only the first
 scans the whole n x n matrix. Stages 1 and 3 (``_bracket``, ``_meet``) take
@@ -59,7 +66,7 @@ import numpy as np
 
 from .asymptotics import lambda_hint
 from .errors import InfeasibleBudgetError
-from .instance import _ROW_BLOCK, Instance, _in_row_chunks, _row_minima
+from .instance import _ROW_BLOCK, Instance, _row_minima
 
 _LAMBDA_OVERFLOW_GUARD = 1e30
 # Step of the bracket search: a larger step saves full evaluations but widens
@@ -139,19 +146,20 @@ def make_mapping(instance: Instance, f: np.ndarray) -> Mapping:
     rows = np.arange(instance.n)
     if f.shape != (instance.n,) or np.any(f == rows) or f.min() < 0 or f.max() >= instance.n:
         raise ValueError("f must map every vertex to a different vertex")
-    weight = float(instance.weights[rows, f].sum())
-    cost = float(instance.costs[rows, f].sum())
-    return Mapping(f=f, weight=weight, cost=cost)
+    weights, costs = instance.edges(rows, f)
+    return Mapping(f=f, weight=float(weights.sum()), cost=float(costs.sum()))
 
 
 class _PhiEvaluator:
     """Dual evaluations on one instance, counted by kind.
 
-    A full evaluation scans W + lam*C block by block of rows, each chunk of
-    rows through its own buffer. Once ``keep_candidates`` has run, ``at``
-    scans only each row's candidate columns, with the same arithmetic and
-    the same gather-and-sum, so it returns the full evaluation bit for bit
-    at any lam in the bracket the candidates were collected for.
+    A full evaluation scans W + lam*C block by block of rows
+    (``Instance.scan``), each chunk of rows through its own buffer. Once
+    ``keep_candidates`` has run, ``at`` scans only each row's candidate
+    columns, with the same arithmetic and the same gather-and-sum, so it
+    returns the full evaluation bit for bit at any lam in the bracket the
+    candidates were collected for. Every gather is ``Instance.edges``, of
+    entries that a pass names: argmins and candidates.
     """
 
     def __init__(self, instance: Instance, c0: float):
@@ -162,6 +170,7 @@ class _PhiEvaluator:
         self.candidate_evaluations = 0
         self.candidate_width = 0
         self._held = {}  # the last ends' a: its evaluation and row minima
+        self._first = None  # the drawing pass's ends and its _pass result
 
     def _evaluation(self, lam: float, f, weight, cost) -> DualEvaluation:
         m = Mapping(f=f, weight=float(weight), cost=float(cost))
@@ -169,32 +178,35 @@ class _PhiEvaluator:
             lam=lam, phi=_line(m, lam, self.c0), argmin=m, subgradient=m.cost - self.c0
         )
 
-    def _scan(self, t0: int, t1: int, lams, f, minima, minima_above) -> list:
-        """Rows [t0, t1), block by block: W + lam*C with its +inf
-        diagonal for each lam in turn, each row's argmin and minimum into
-        ``f`` and ``minima``, and, against ``minima_above``, the candidates
-        of the last lam. Returns the candidates' flat indices per block."""
-        inst = self.instance
-        n = inst.n
+    def _scan(self, t0: int, t1: int, lams, f, minima, minima_above):
+        """The visit of rows [t0, t1) for ``Instance.scan``: on each block,
+        W + lam*C with its +inf diagonal for each lam in turn, each row's
+        argmin and minimum into ``f`` and ``minima``, and, against
+        ``minima_above``, the candidates of the last lam. A visit names the
+        block's candidates, or without them its argmins, as flat indices."""
+        if not lams:  # the pass that only draws
+            return lambda *block: None
+        n = self.instance.n
         buf = np.empty((min(t1 - t0, _ROW_BLOCK), n))
-        found = []
-        # lam=0 turns the inf diagonal into nan. The error state is the
-        # calling thread's own, so it is set here, on the thread that scans.
-        with np.errstate(invalid="ignore"):
-            for b0 in range(t0, t1, _ROW_BLOCK):
-                b1 = min(b0 + _ROW_BLOCK, t1)
-                costs, weights = inst.costs[b0:b1], inst.weights[b0:b1]
-                scores = buf[: b1 - b0]
+
+        def visit(b0, b1, weights, costs):
+            scores = buf[: b1 - b0]
+            # lam=0 turns the inf diagonal into nan. The error state is the
+            # calling thread's own, so it is set here, on the thread that scans.
+            with np.errstate(invalid="ignore"):
                 for k, lam in enumerate(lams):
                     np.multiply(costs, lam, out=scores)
                     scores += weights
                     # entries (t, b0 + t): row t's own column
                     scores.reshape(-1)[b0 :: n + 1] = np.inf
                     _row_minima(scores, f[k, b0:b1], minima[k, b0:b1])
-                if minima_above is not None:
-                    mask = scores <= minima_above[b0:b1, None]
-                    found.append(mask.reshape(-1).nonzero()[0] + b0 * n)
-        return found
+            if minima_above is not None:
+                mask = scores <= minima_above[b0:b1, None]
+                return mask.reshape(-1).nonzero()[0] + b0 * n
+            # a single lam: the argmins its evaluation gathers
+            return f[0, b0:b1] + np.arange(b0, b1) * n
+
+        return visit
 
     def _pass(self, lams, minima_above):
         """One pass over the rows: the evaluation and the row minima
@@ -209,23 +221,35 @@ class _PhiEvaluator:
         if minima_above is None and len(lams) > 1:
             # filled block by block before the last lam's scan reads it
             minima_above = minima[-2]
-        chunks = _in_row_chunks(
+        named = inst.scan(
             lambda t0, t1: self._scan(t0, t1, lams, f, minima, minima_above),
-            n, n * n >= _THREADED_MIN_ENTRIES,
+            n * n >= _THREADED_MIN_ENTRIES,
         )
-        self.full_evaluations += len(lams)
-        found = [block for chunk in chunks for block in chunk]
         # each lam's row of the gathered edges sums as a 1-d array would
-        weights = inst.weights[rows, f].sum(axis=1)
-        costs = inst.costs[rows, f].sum(axis=1)
+        weights, costs = inst.edges(rows, f)
+        weights, costs = weights.sum(axis=1), costs.sum(axis=1)
         evaluations = [
             self._evaluation(lam, f[k], weights[k], costs[k]) for k, lam in enumerate(lams)
         ]
-        return evaluations, minima, (np.concatenate(found) if found else None)
+        return evaluations, minima, (named if minima_above is not None else None)
+
+    def draw(self, a: float | None = None, b: float | None = None) -> None:
+        """If the instance is still to be drawn, draw it by a pass at the
+        bracket ends a < b (none given: at no lam), which ``ends(a, b)``
+        then takes without a pass. The pass finds each row's cheapest
+        edges too (``Instance.scan``)."""
+        def first_scan():
+            if b is None:
+                self._pass((), None)
+            else:
+                self._first = (a, b), self._pass((b, a), None)
+
+        self.instance.draw_by(first_scan)
 
     def full(self, lam: float) -> tuple[DualEvaluation, np.ndarray]:
         """Full evaluation plus each row's minimum of W + lam*C."""
         [e], minima, _ = self._pass((lam,), None)
+        self.full_evaluations += 1
         return e, minima[0]
 
     def ends(self, a: float, b: float) -> tuple[DualEvaluation, DualEvaluation]:
@@ -235,14 +259,21 @@ class _PhiEvaluator:
 
         One pass scans each block of rows at b and then, still in cache, at
         a. If b was the last call's a, its evaluation and row minima are
-        held and a is scanned alone.
+        held and a is scanned alone. The pass that drew the instance at
+        a and b (``draw``) is taken as it is.
         """
+        first, self._first = self._first, None
         held = self._held.get(b)
-        if held:
+        if first and first[0] == (a, b):
+            (e_b, e_a), minima, self._found = first[1]
+            self.full_evaluations += 2
+        elif held:
             [e_a], minima, self._found = self._pass((a,), held[1])
             e_b = held[0]
+            self.full_evaluations += 1
         else:
             (e_b, e_a), minima, self._found = self._pass((b, a), None)
+            self.full_evaluations += 2
         self._held = {a: (e_a, minima[-1])}
         return e_a, e_b
 
@@ -252,7 +283,7 @@ class _PhiEvaluator:
         diagonal, so it is the full evaluation's bit for bit."""
         inst = self.instance
         f, weights = inst.cheapest_weights
-        return self._evaluation(0.0, f, weights.sum(), inst.costs[self.rows, f].sum())
+        return self._evaluation(0.0, f, weights.sum(), inst.edges(self.rows, f)[1].sum())
 
     def keep_candidates(self) -> None:
         """Use the candidates of the last ``ends`` as each row's columns.
@@ -271,8 +302,7 @@ class _PhiEvaluator:
         self._cand_w = np.full((m, k), np.inf)
         self._cand_c = np.zeros((m, k))
         self._cand_cols[t, slot] = cols
-        self._cand_w[t, slot] = inst.weights[t, cols]
-        self._cand_c[t, slot] = inst.costs[t, cols]
+        self._cand_w[t, slot], self._cand_c[t, slot] = inst.edges(t, cols)
         self._cand_buf = np.empty((m, k))
         self._cand_offsets = np.arange(m) * k
         self.candidate_width = k
@@ -292,11 +322,9 @@ class _PhiEvaluator:
         differ, so that the totals' rounding does not swamp the differences."""
         low, high = e_lo.argmin, e_hi.argmin
         d = np.flatnonzero(low.f != high.f)
-        f_low, f_high = low.f[d], high.f[d]
-        weights, costs = self.instance.weights, self.instance.costs
-        dw = weights[d, f_high] - weights[d, f_low]
-        dc = costs[d, f_low] - costs[d, f_high]
-        return float(dw.sum() / dc.sum())
+        w_low, c_low = self.instance.edges(d, low.f[d])
+        w_high, c_high = self.instance.edges(d, high.f[d])
+        return float((w_high - w_low).sum() / (c_low - c_high).sum())
 
 
 def _check_budget(c0: float) -> None:
@@ -334,27 +362,31 @@ def maximize_dual(instance: Instance, c0: float) -> DualOptimum:
     evaluations of each kind were made.
     """
     _check_budget(c0)
+    # 1. Full evaluations start at b = 1.5 and a = 1/1.5 times the paper's
+    # maximiser or, without one, at b = n log n and a = b/8.
+    n = instance.n
+    hint = lambda_hint(n, c0, instance.s) if n >= _HINT_MIN_N else 0.0
+    hinted = 0.0 < hint < _lambda_ceiling(n)
+    if hinted:
+        b = min(hint * _HINT_MARGIN, _lambda_ceiling(n))
+        below = hint / _HINT_MARGIN
+    else:
+        b = n * math.log(n)
+        below = b / _BRACKET_FACTOR
+    evaluate = _PhiEvaluator(instance, c0)
+    # An instance still to be drawn is drawn by the first pass, which finds
+    # each row's cheapest edges and, from the paper's maximiser, scans the
+    # first bracket ends while it draws.
+    evaluate.draw(*((_floored(below, b), b) if hinted else ()))
     cheapest = min_cost_sum(instance)
     if cheapest > c0:
         raise InfeasibleBudgetError(
             f"cheapest mapping costs {cheapest:.6g} > budget {c0:.6g}"
         )
 
-    evaluate = _PhiEvaluator(instance, c0)
     e_lo = e_hi = evaluate.at_zero()
     lam = 0.0
     if e_lo.subgradient > 0:
-        # 1. Full evaluations start at b = 1.5 and a = 1/1.5 times the
-        # paper's maximiser or, without one, at b = n log n and a = b/8.
-        n = instance.n
-        ceiling = _lambda_ceiling(n)
-        hint = lambda_hint(n, c0, instance.s) if n >= _HINT_MIN_N else 0.0
-        if 0.0 < hint < ceiling:
-            b = min(hint * _HINT_MARGIN, ceiling)
-            below = hint / _HINT_MARGIN
-        else:
-            b = n * math.log(n)
-            below = b / _BRACKET_FACTOR
         e_lo, e_hi = _bracket(evaluate, below, b)
         # 2. and 3.: the lines meet on the candidates for [a, b]
         evaluate.keep_candidates()
@@ -386,7 +418,7 @@ def _bracket(evaluate, below: float, b: float) -> tuple[DualEvaluation, DualEval
     outward by _BRACKET_FACTOR; a b at the ceiling still positive raises
     ArithmeticError, and an a below 1e-10 * (1 + b) is taken as 0."""
     n = evaluate.instance.n
-    a = below if below > _BRACKET_FLOOR * (1.0 + b) else 0.0
+    a = _floored(below, b)
     e_lo, e_hi = evaluate.ends(a, b)
     while e_hi.subgradient > 0:
         if b == _lambda_ceiling(n):
@@ -394,10 +426,14 @@ def _bracket(evaluate, below: float, b: float) -> tuple[DualEvaluation, DualEval
         a, b = b, min(b * _BRACKET_FACTOR, _lambda_ceiling(n))
         e_lo, e_hi = evaluate.ends(a, b)
     while e_lo.subgradient <= 0:
-        a, b = a / _BRACKET_FACTOR, a
-        a = a if a > _BRACKET_FLOOR * (1.0 + b) else 0.0
+        a, b = _floored(a / _BRACKET_FACTOR, a), a
         e_lo, e_hi = evaluate.ends(a, b)
     return e_lo, e_hi
+
+
+def _floored(a: float, b: float) -> float:
+    """A bracket's lower end a, or 0 when a is below 1e-10 * (1 + b)."""
+    return a if a > _BRACKET_FLOOR * (1.0 + b) else 0.0
 
 
 def _meet(evaluate, e_lo: DualEvaluation, e_hi: DualEvaluation):
@@ -431,10 +467,10 @@ def solve_mapping(instance: Instance, c0: float) -> MappingSolution:
     """
     _check_budget(c0)
     rows = np.arange(instance.n)
-    # Each row's cheapest-cost edge, which the instance holds: the dual's
-    # feasibility check and the one-row swap below read them.
-    cheap_cols, cheap_costs = instance.cheapest_costs
     opt = maximize_dual(instance, c0)
+    # Each row's cheapest-cost edge, which the instance holds from the
+    # dual's first pass at the latest: the one-row swap moves a row onto it.
+    cheap_cols, cheap_costs = instance.cheapest_costs
 
     # One-row swap: move a single row of the infeasible-side mapping to its
     # cheapest-cost edge, keeping the rest intact; at most one row differs.
@@ -443,8 +479,9 @@ def solve_mapping(instance: Instance, c0: float) -> MappingSolution:
     best = opt.mapping_high
     if opt.mapping_low is not opt.mapping_high:
         f_low = opt.mapping_low.f
-        cost_delta = cheap_costs - instance.costs[rows, f_low]
-        weight_delta = instance.weights[rows, cheap_cols] - instance.weights[rows, f_low]
+        weights_low, costs_low = instance.edges(rows, f_low)
+        cost_delta = cheap_costs - costs_low
+        weight_delta = instance.edges(rows, cheap_cols)[0] - weights_low
         swapped_cost = opt.mapping_low.cost + cost_delta
         feasible = swapped_cost <= c0
         if feasible.any():
@@ -456,8 +493,8 @@ def solve_mapping(instance: Instance, c0: float) -> MappingSolution:
             if swapped.weight < best.weight:
                 best = swapped
 
-    w_max = float(instance.weights[rows, best.f].max())
-    c_max = float(instance.costs[rows, best.f].max())
+    weights, costs = instance.edges(rows, best.f)
+    w_max, c_max = float(weights.max()), float(costs.max())
     return MappingSolution(
         mapping=best, lower_bound=opt.phi_star, w_max_used=w_max, c_max_used=c_max, dual=opt
     )

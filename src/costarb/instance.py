@@ -15,11 +15,20 @@ The thread count is not a setting: it is read from the CPU affinity, and
 small instances are drawn on the calling thread.
 Diagonal entries hold +inf so no row scan can ever select a self-loop.
 
-Each chunk draws its rows in blocks of _ROW_BLOCK rows and, while a block
-is still in cache, raises it to the power s, writes its +inf diagonal and
-finds each row's cheapest edge. So every instance carries the cheapest
-weight and cheapest cost edge of each row at no extra pass; ``from_arrays``
-and ``load`` find them with the same block scan.
+Rows are drawn in blocks of _ROW_BLOCK rows (``_draw_rows``). While a
+block is still in cache it is raised to the power s, gets its +inf
+diagonal and yields each row's cheapest weight and cheapest cost edge.
+
+``generate`` draws nothing: it returns an instance fixed by (n, s, seed)
+whose first ``scan`` draws it. That scan hands each block, drawn into
+buffers of its row chunk, to the caller's visit, and keeps only each row's
+cheapest edges, the weight and cost at both of their columns, and the
+entries the visits name. ``edges`` gathers from those and draws a whole
+row on request; any other read of the matrices (``weights``, ``costs``,
+``cheapest_*`` before the first scan, ``save``, a later scan, a gather of
+an entry not kept) draws and stores both matrices once, as one generation
+does, and the instance is dense from then on. ``from_arrays`` and ``load``
+make dense instances, whose row minima come from the same block scan.
 
 The on-disk format is a small self-describing binary: magic ``CARB``, a
 version word, the header (n, s, seed), then the raw little-endian weight
@@ -29,11 +38,11 @@ matrix followed by the cost matrix.
 from __future__ import annotations
 
 import csv
+import mmap
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -46,30 +55,210 @@ _MASK64 = (1 << 64) - 1
 # Rows per block of a row scan: a block stays in cache while it is scanned,
 # and no n x n work array is needed.
 _ROW_BLOCK = 32
-# Below this n, generate draws on the calling thread: starting a pool costs
+# Below this n, a draw runs on the calling thread: starting a pool costs
 # more than a second core saves.
 _THREADED_MIN_N = 512
 
 
-@dataclass(frozen=True, eq=False)
 class Instance:
-    """Immutable dense instance: n x n weight and cost matrices, diagonal +inf.
+    """Immutable instance: n x n weight and cost matrices, diagonal +inf.
 
     ``cheapest_weights`` and ``cheapest_costs`` hold each row's lightest and
-    cheapest edge: its column (ties: the smallest) and its value.
+    cheapest edge: its column (ties: the smallest) and its value. Every
+    array it hands out is read-only. A generated instance is drawn by its
+    first ``scan`` or stored on the first read that needs the matrices (see
+    the module docstring); either happens under a lock, once, so an
+    instance may be shared across threads.
     """
 
-    n: int
-    s: float
-    weights: np.ndarray
-    costs: np.ndarray
-    seed: int
-    cheapest_weights: tuple[np.ndarray, np.ndarray]
-    cheapest_costs: tuple[np.ndarray, np.ndarray]
+    def __init__(self, n: int, s: float, seed: int, matrices=None):
+        self.n, self.s, self.seed = n, s, seed
+        self._lock = threading.RLock()
+        self._matrices = None  # (weights, costs) once dense
+        self._cheapest = None  # (cheapest_weights, cheapest_costs) once drawn
+        self._kept = None  # (flat indices, weights, costs) of a streamed instance
+        if matrices is not None:
+            weights, costs = matrices
+            self._set_dense(weights, costs, (_cheapest_edges(weights), _cheapest_edges(costs)))
 
-    def __post_init__(self):
-        for a in (self.weights, self.costs, *self.cheapest_weights, *self.cheapest_costs):
+    @property
+    def weights(self) -> np.ndarray:
+        return self._dense()[0]
+
+    @property
+    def costs(self) -> np.ndarray:
+        return self._dense()[1]
+
+    @property
+    def cheapest_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._minima()[0]
+
+    @property
+    def cheapest_costs(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._minima()[1]
+
+    def _minima(self):
+        if self._cheapest is None:
+            self._dense()
+        return self._cheapest
+
+    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._matrices is None:
+            with self._lock:
+                if self._matrices is None:
+                    self._materialize()
+        return self._matrices
+
+    def _set_dense(self, weights, costs, cheapest) -> None:
+        for a in (weights, costs, *cheapest[0], *cheapest[1]):
             a.flags.writeable = False
+        self._cheapest, self._kept = cheapest, None
+        self._matrices = weights, costs
+
+    def _materialize(self) -> None:
+        """Draw and store both matrices, as one generation of (n, s, seed).
+        The kept entries are dropped first: the matrices hold them."""
+        self._kept = None
+        n = self.n
+        weights, costs = np.empty((n, n)), np.empty((n, n))
+        cheapest = _empty_minima(n), _empty_minima(n)
+
+        def draw(r0, r1):
+            rows = _draw_rows(self.seed, self.s, n, r0, r1, cheapest,
+                              lambda b0, b1: (weights[b0:b1], costs[b0:b1]))
+            for _ in rows:
+                pass
+
+        _in_row_chunks(draw, n, n >= _THREADED_MIN_N)
+        self._set_dense(weights, costs, cheapest)
+
+    def draw_by(self, first_scan) -> None:
+        """Call ``first_scan`` if the instance is still to be drawn: a
+        caller with a scan to make anyway makes it the scan that draws."""
+        with self._lock:
+            if self._cheapest is None:
+                first_scan()
+
+    def scan(self, visitor, threaded: bool):
+        """Visit every row, block by block of _ROW_BLOCK rows, in row chunks
+        as ``_in_row_chunks`` makes them. ``visitor(t0, t1)``, called on the
+        thread that scans rows [t0, t1), returns the chunk's visit, which is
+        called on each of its blocks in turn as ``visit(b0, b1, weights,
+        costs)`` with the block's rows of both matrices (read them only).
+        A visit may return ascending flat indices row * n + column of
+        entries of its block; the scan returns them joined in row order, or
+        None if no visit returned any.
+
+        The scan that draws an instance keeps those entries for ``edges``,
+        and always in threads from _THREADED_MIN_N rows on.
+        """
+        if self._matrices is None:
+            with self._lock:
+                if self._cheapest is None:
+                    return self._stream(visitor, threaded or self.n >= _THREADED_MIN_N)
+        weights, costs = self._dense()
+
+        def chunk(t0, t1):
+            visit = visitor(t0, t1)
+            found = []
+            for b0 in range(t0, t1, _ROW_BLOCK):
+                b1 = min(b0 + _ROW_BLOCK, t1)
+                named = visit(b0, b1, weights[b0:b1], costs[b0:b1])
+                if named is not None:
+                    found.append(named)
+            return found
+
+        return _joined(_in_row_chunks(chunk, self.n, threaded))
+
+    def _stream(self, visitor, threaded: bool):
+        """``scan`` of an instance still to be drawn: each block is drawn
+        into buffers of its chunk and visited while it is in cache."""
+        n = self.n
+        cheapest = _empty_minima(n), _empty_minima(n)
+
+        def chunk(t0, t1):
+            visit = visitor(t0, t1)
+            # A mapping of their own, unmapped when the chunk ends: heap
+            # buffers stay resident in the thread's allocator arena.
+            rows = min(t1 - t0, _ROW_BLOCK)
+            buffers = np.frombuffer(mmap.mmap(-1, 2 * rows * n * 8)).reshape(2, rows, n)
+            found, kept = [], []
+            blocks = _draw_rows(self.seed, self.s, n, t0, t1, cheapest,
+                                lambda b0, b1: buffers[:, : b1 - b0])
+            for b0, b1, weights, costs in blocks:
+                named = visit(b0, b1, weights, costs)
+                starts = np.arange(b0, b1) * n
+                keys = [starts + cheapest[0][0][b0:b1], starts + cheapest[1][0][b0:b1]]
+                if named is not None:
+                    found.append(named)
+                    keys.append(named)
+                keys = np.concatenate(keys)
+                keys.sort()  # then each once: np.unique costs more per block
+                keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+                local = keys - b0 * n
+                kept.append((keys, weights.reshape(-1)[local], costs.reshape(-1)[local]))
+            return found, kept
+
+        chunks = _in_row_chunks(chunk, n, threaded)
+        kept = [block for _, blocks in chunks for block in blocks]
+        self._kept = tuple(np.concatenate(part) for part in zip(*kept))
+        for a in (*self._kept, *cheapest[0], *cheapest[1]):
+            a.flags.writeable = False
+        self._cheapest = cheapest
+        return _joined(found for found, _ in chunks)
+
+    def edges(self, rows, cols=None) -> tuple[np.ndarray, np.ndarray]:
+        """The weights and the costs at (rows, cols), broadcast as numpy
+        indexing does; ``cols`` None: the whole rows. Read only."""
+        if self._matrices is None:
+            with self._lock:
+                if self._kept is not None:
+                    if cols is None:
+                        for row in np.unique(rows):
+                            self._draw_row(int(row))
+                        cols = np.arange(self.n)
+                        rows = np.asarray(rows)[..., None]
+                    gathered = self._kept_edges(rows, cols)
+                    if gathered is not None:
+                        return gathered
+        weights, costs = self._dense()
+        if cols is None:
+            return weights[rows], costs[rows]
+        return weights[rows, cols], costs[rows, cols]
+
+    def _kept_edges(self, rows, cols):
+        """The kept entries at (rows, cols), or None if one is not kept."""
+        keys, weights, costs = self._kept
+        flat = np.asarray(rows) * self.n + cols
+        at = np.minimum(keys.searchsorted(flat), len(keys) - 1)
+        if not (keys[at] == flat).all():
+            return None
+        return weights[at], costs[at]
+
+    def _draw_row(self, row: int) -> None:
+        """Keep every entry of ``row`` of a streamed instance."""
+        n = self.n
+        lo, hi = self._kept[0].searchsorted((row * n, (row + 1) * n))
+        if hi - lo == n:
+            return
+        drawn = np.empty((2, 1, n))
+        for _ in _draw_rows(self.seed, self.s, n, row, row + 1, None, lambda b0, b1: drawn):
+            pass
+        parts = zip(self._kept, (row * n + np.arange(n), *drawn.reshape(2, n)))
+        self._kept = tuple(np.concatenate((a[:lo], r, a[hi:])) for a, r in parts)
+        for a in self._kept:
+            a.flags.writeable = False
+
+
+def _empty_minima(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays for each row's cheapest edge: its column and its value."""
+    return np.empty(n, dtype=np.intp), np.empty(n)
+
+
+def _joined(chunks):
+    """The flat index arrays of ``chunks`` (lists, in row order) as one."""
+    found = [named for chunk in chunks for named in chunk]
+    return np.concatenate(found) if found else None
 
 
 def _row_minima(block: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
@@ -81,9 +270,9 @@ def _row_minima(block: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None
 
 def _cheapest_edges(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's smallest entry of a whole matrix, by the block scan that
-    generate makes as it draws."""
+    the draw makes."""
     n = len(m)
-    cols, values = np.empty(n, dtype=np.intp), np.empty(n)
+    cols, values = _empty_minima(n)
     for r0 in range(0, n, _ROW_BLOCK):
         rows = slice(r0, r0 + _ROW_BLOCK)
         _row_minima(m[rows], cols[rows], values[rows])
@@ -98,27 +287,30 @@ def _stream_at(seed: int, position: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def _draw_rows(seed: int, s: float, r0: int, r1: int, parts) -> None:
-    """Draw rows [r0, r1) of each (stream offset, matrix, cheapest columns,
-    cheapest values) in ``parts``, block by block: while a block is in
-    cache, raise it to the power s, write its +inf diagonal and find each
-    row's cheapest edge."""
-    gen, position = None, None
-    for offset, m, cols, values in parts:
-        n = m.shape[1]
-        # a chunk of all rows runs on from one matrix into the next
-        if position != offset + r0 * n:
-            gen = _stream_at(seed, offset + r0 * n)
-        position = offset + r1 * n
-        for b0 in range(r0, r1, _ROW_BLOCK):
-            b1 = min(b0 + _ROW_BLOCK, r1)
-            block = m[b0:b1]
+def _draw_rows(seed: int, s: float, n: int, r0: int, r1: int, cheapest, into):
+    """Draw rows [r0, r1) of the weights and the costs, block by block of
+    _ROW_BLOCK rows, into the two arrays that ``into(b0, b1)`` gives, and
+    yield each block as (b0, b1, weights, costs) while it is in cache:
+    raised to the power s, with its +inf diagonal, and its rows' cheapest
+    edges found into ``cheapest`` (the two matrices' column and value
+    arrays, or None)."""
+    gens = None
+    for b0 in range(r0, r1, _ROW_BLOCK):
+        b1 = min(b0 + _ROW_BLOCK, r1)
+        blocks = into(b0, b1)
+        if gens is None:
+            gen = _stream_at(seed, b0 * n)
+            # a block of all rows runs on from the weights into the costs
+            gens = gen, gen if b1 - b0 == n else _stream_at(seed, n * n + b0 * n)
+        for gen, block, minima in zip(gens, blocks, cheapest or (None, None)):
             gen.random(out=block)
             if s != 1.0:
                 np.power(block, s, out=block)
             # entries (t, b0 + t): row t's own column
             block.reshape(-1)[b0 :: n + 1] = np.inf
-            _row_minima(block, cols[b0:b1], values[b0:b1])
+            if minima is not None:
+                _row_minima(block, minima[0][b0:b1], minima[1][b0:b1])
+        yield (b0, b1, *blocks)
 
 
 def _cpu_count() -> int:
@@ -145,22 +337,13 @@ def _in_row_chunks(work, rows: int, threaded: bool) -> list:
 
 
 def generate(n: int, s: float, seed: int) -> Instance:
-    """Draw an instance with i.i.d. U**s weights and costs on every edge."""
+    """The instance with i.i.d. U**s weights and costs on every edge drawn
+    from (n, s, seed); it is drawn when it is first read (module docstring)."""
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")
-    weights, costs = np.empty((n, n)), np.empty((n, n))
-    cheapest_weights = np.empty(n, dtype=np.intp), np.empty(n)
-    cheapest_costs = np.empty(n, dtype=np.intp), np.empty(n)
-    parts = ((0, weights, *cheapest_weights), (n * n, costs, *cheapest_costs))
-    _in_row_chunks(
-        lambda r0, r1: _draw_rows(seed, s, r0, r1, parts), n, n >= _THREADED_MIN_N
-    )
-    return Instance(
-        n=n, s=s, weights=weights, costs=costs, seed=seed,
-        cheapest_weights=cheapest_weights, cheapest_costs=cheapest_costs,
-    )
+    return Instance(n, s, seed)
 
 
 def _model_violation(n: int, s: float, weights: np.ndarray, costs: np.ndarray) -> str | None:
@@ -182,14 +365,6 @@ def _model_violation(n: int, s: float, weights: np.ndarray, costs: np.ndarray) -
     return None
 
 
-def _dense_instance(n: int, s: float, weights, costs, seed: int) -> Instance:
-    """An instance of matrices already inside the model."""
-    return Instance(
-        n=n, s=s, weights=weights, costs=costs, seed=seed,
-        cheapest_weights=_cheapest_edges(weights), cheapest_costs=_cheapest_edges(costs),
-    )
-
-
 def from_arrays(weights, costs, s: float = 1.0, seed: int = 0) -> Instance:
     """Build an instance from explicit matrices (diagonal is overwritten).
 
@@ -206,7 +381,7 @@ def from_arrays(weights, costs, s: float = 1.0, seed: int = 0) -> Instance:
     problem = _model_violation(n, s, w, c)
     if problem:
         raise ValueError(problem)
-    return _dense_instance(n, s, w, c, seed)
+    return Instance(n, s, seed, (w, c))
 
 
 def save(instance: Instance, path) -> None:
@@ -221,40 +396,39 @@ def save(instance: Instance, path) -> None:
 
 
 def load(path) -> Instance:
-    """Read an instance file written by save().
+    """Read an instance file written by save(). Each matrix is read straight
+    into its array, so no copy of the file's bytes is held.
 
     Raises InstanceFormatError for a malformed file and for one whose
     instance is outside the model (see from_arrays).
     """
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise InstanceFormatError(f"{path}: too short for a header ({len(data)} bytes)")
-    magic, version, n, s, seed = _HEADER.unpack_from(data)
-    if magic != _MAGIC:
-        raise InstanceFormatError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise InstanceFormatError(f"{path}: unsupported version {version}")
-    body = len(data) - _HEADER.size
-    expected = 2 * n * n * 8
-    if body != expected:
-        raise InstanceFormatError(
-            f"{path}: payload is {body} bytes but header n={n} implies {expected}"
-        )
-    block = n * n * 8
-    weights = np.frombuffer(
-        data, dtype="<f8", count=n * n, offset=_HEADER.size
-    ).reshape(n, n).copy()
-    costs = np.frombuffer(
-        data, dtype="<f8", count=n * n, offset=_HEADER.size + block
-    ).reshape(n, n).copy()
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise InstanceFormatError(f"{path}: too short for a header ({size} bytes)")
+        magic, version, n, s, seed = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != _MAGIC:
+            raise InstanceFormatError(f"{path}: bad magic {magic!r}")
+        if version != _VERSION:
+            raise InstanceFormatError(f"{path}: unsupported version {version}")
+        body = size - _HEADER.size
+        expected = 2 * n * n * 8
+        if body != expected:
+            raise InstanceFormatError(
+                f"{path}: payload is {body} bytes but header n={n} implies {expected}"
+            )
+        weights, costs = np.empty((2, n, n), dtype="<f8")
+        for m in (weights, costs):
+            fh.readinto(m)
     problem = _model_violation(n, s, weights, costs)
     if problem:
         raise InstanceFormatError(f"{path}: {problem}")
-    return _dense_instance(n, s, weights, costs, seed)
+    return Instance(n, s, seed, (weights, costs))
 
 
 def export_csv(instance: Instance, path) -> None:
     """Dump off-diagonal edges as rows (i, j, weight, cost), 0-indexed."""
+    weights, costs = instance.weights, instance.costs
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "weight", "cost"])
@@ -262,6 +436,4 @@ def export_csv(instance: Instance, path) -> None:
             for j in range(instance.n):
                 if i == j:
                     continue
-                writer.writerow(
-                    [i, j, repr(float(instance.weights[i, j])), repr(float(instance.costs[i, j]))]
-                )
+                writer.writerow([i, j, repr(float(weights[i, j])), repr(float(costs[i, j]))])

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from costarb import (
     BudgetSpec,
+    CostarbError,
     DualEvaluation,
     ExperimentConfig,
     InfeasibleBudgetError,
@@ -32,6 +34,7 @@ from costarb import (
 )
 from costarb import dual as dual_module
 from costarb import instance as instance_module
+from costarb.harness import derive_trial_seed
 from costarb.instance import _ROW_BLOCK, _row_minima
 from conftest import all_mappings
 
@@ -315,7 +318,7 @@ class TestConcentration:
 
     def test_peak_memory_is_one_instance(self):
         tracemalloc.start()
-        generate(2000, 1.0, 1)
+        generate(2000, 1.0, 1).weights  # stores both matrices
         one_instance = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         empirical_concentration(2000, 1.0, 1.0, trials=3, seed=1)
@@ -936,3 +939,80 @@ class TestThreadedPasses:
         serial = run_experiment(ExperimentConfig(**config, parallelism=1))
         forked = run_experiment(ExperimentConfig(**config, parallelism=2))
         assert forked.to_json() == serial.to_json()
+
+
+def _solved(make, c0):
+    """maximize_dual and the pipeline at c0, each on a fresh instance from
+    ``make``: every value they report, as bits, or the error's type and text."""
+    out = []
+    for solve in (maximize_dual, solve_constrained_arborescence):
+        try:
+            result = solve(make(), c0)
+        except CostarbError as exc:
+            out.append((type(exc).__name__, str(exc)))
+        else:
+            if solve is maximize_dual:
+                out.append((
+                    result.lambda_star.hex(), result.phi_star.hex(),
+                    _bits(result.mapping_low), _bits(result.mapping_high),
+                    result.full_evaluations, result.candidate_evaluations,
+                    result.candidate_width,
+                ))
+            else:
+                arb = result.arborescence
+                trace = {k: v.hex() if isinstance(v, float) else v for k, v in result.trace.items()}
+                out.append((
+                    arb.root, arb.parent.tolist(), arb.weight.hex(), arb.cost.hex(),
+                    result.lower_bound.hex(), trace,
+                ))
+    return out
+
+
+class TestStreamedTrials:
+    """A generated instance, drawn inside the dual's first pass, gives the
+    bits that its dense copy gives, in any number of row chunks."""
+
+    @staticmethod
+    def assert_streamed_is_dense(monkeypatch, n, s, seed, c0s):
+        drawn = generate(n, s, seed)
+        weights, costs = drawn.weights.copy(), drawn.costs.copy()
+        dense = [_solved(lambda: from_arrays(weights, costs, s, seed), c0) for c0 in c0s]
+        for cpus in (1, 2, 3, 7):
+            _thread_the_passes(monkeypatch, cpus)
+            for c0, expected in zip(c0s, dense):
+                assert _solved(lambda: generate(n, s, seed), c0) == expected, (n, s, c0, cpus)
+
+    @pytest.mark.parametrize("s", [1.0, 0.6])
+    @pytest.mark.parametrize("n", [2, 5, 255, 256, 600, 2100])
+    def test_budget_grid(self, n, s, monkeypatch):
+        # sqrt(n) and 0.6n, the cheapest budget, and 1.02 times it, where
+        # the hint misses and a second pass stores the matrices
+        cheapest = min_cost_sum(generate(n, s, 3))
+        c0s = (math.sqrt(n), 0.6 * n, cheapest, 1.02 * cheapest)
+        self.assert_streamed_is_dense(monkeypatch, n, s, 3, c0s)
+
+    def test_no_hint_infeasible_and_fallback(self, monkeypatch):
+        # s = 1 and c0 = 1 give no hint; half the cheapest budget fits no
+        # mapping; trial 2 of test_fallback_trial_report's config runs
+        # the Edmonds fallback
+        self.assert_streamed_is_dense(monkeypatch, 600, 1.0, 3, (1.0,))
+        cheapest = min_cost_sum(generate(600, 0.6, 3))
+        self.assert_streamed_is_dense(monkeypatch, 600, 0.6, 3, (0.5 * cheapest,))
+        seed = derive_trial_seed(3, 2)
+        assert _solved(lambda: generate(300, 1.0, seed), 2.0)[1][-1]["edmonds_calls"] > 0
+        self.assert_streamed_is_dense(monkeypatch, 300, 1.0, seed, (2.0,))
+
+    def test_threads_sharing_an_instance(self):
+        # one thread's pass draws the instance; the others wait for it and
+        # then store the matrices, and every thread reports the same bits
+        inst = generate(700, 1.0, 5)
+        c0 = math.sqrt(700)
+        expected = _solved(lambda: generate(700, 1.0, 5), c0)
+        barrier = threading.Barrier(3)
+
+        def solve(_):
+            barrier.wait()
+            return _solved(lambda: inst, c0)
+
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            assert list(pool.map(solve, range(3))) == [expected] * 3

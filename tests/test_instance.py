@@ -1,7 +1,10 @@
 import hashlib
 import math
 import sys
+import threading
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,13 +15,16 @@ from costarb import (
     BudgetSpec,
     ExperimentConfig,
     InstanceFormatError,
+    edmonds,
     export_csv,
     from_arrays,
     generate,
     load,
     run_experiment,
     run_expectation_check,
+    phi,
     save,
+    solve_constrained_arborescence,
 )
 from costarb import instance as instance_module
 from costarb.instance import _HEADER, _MAGIC, _THREADED_MIN_N, _VERSION
@@ -276,6 +282,19 @@ class TestSaveLoad:
         with pytest.raises(InstanceFormatError, match=f"unsupported version {_VERSION + 1}"):
             load(path)
 
+    def test_load_holds_no_copy_of_the_file(self, tmp_path):
+        # each matrix is read straight into its array: the peak is about
+        # the two matrices, where a copy of the file's bytes made it twice that
+        n = 500
+        save(generate(n, 1.0, 3), tmp_path / "inst.carb")
+        tracemalloc.start()
+        try:
+            load(tmp_path / "inst.carb")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (2 * n * n * 8)
+
     @given(
         n=st.integers(min_value=2, max_value=8),
         s=st.floats(min_value=0.1, max_value=1.0),
@@ -361,3 +380,80 @@ def test_csv_export_round_trips_values(tmp_path):
         i, j = int(row["i"]), int(row["j"])
         assert float(row["weight"]) == inst.weights[i, j]
         assert float(row["cost"]) == inst.costs[i, j]
+
+
+def _spy_on_storing(monkeypatch) -> list:
+    """The n of every instance whose matrices are stored from now on."""
+    stored = []
+    shipped = instance_module.Instance._materialize
+
+    def spy(self):
+        stored.append(self.n)
+        return shipped(self)
+
+    monkeypatch.setattr(instance_module.Instance, "_materialize", spy)
+    return stored
+
+
+class TestStreamedInstances:
+    """A generated instance is drawn inside the dual's first pass; reads
+    that need its matrices store them once."""
+
+    @pytest.mark.parametrize("c0", [math.sqrt(3000), 1800.0])
+    def test_a_trial_stores_no_matrix(self, c0, monkeypatch):
+        stored = _spy_on_storing(monkeypatch)
+        tracemalloc.start()
+        try:
+            solve_constrained_arborescence(generate(3000, 1.0, 1), c0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stored == []
+        assert peak < 3000 * 3000 * 8 / 4  # a quarter of one matrix
+
+    def test_reads_that_need_the_matrices_store_them_once(self, monkeypatch, tmp_path):
+        stored = _spy_on_storing(monkeypatch)
+        inst = generate(600, 1.0, 2)
+        solve_constrained_arborescence(inst, math.sqrt(600))
+        assert stored == []
+        weights = inst.weights
+        assert inst.weights is weights and stored == [600]
+        inst.costs, inst.cheapest_costs
+        assert stored == [600]
+
+        save(generate(40, 1.0, 2), tmp_path / "a.carb")
+        assert stored == [600, 40]
+        inst = generate(50, 1.0, 2)
+        edmonds(inst)
+        edmonds(inst, 0.5)
+        assert stored == [600, 40, 50]
+
+    def test_threads_store_the_matrices_once(self, monkeypatch):
+        stored = _spy_on_storing(monkeypatch)
+        inst = generate(700, 1.0, 4)
+        barrier = threading.Barrier(4)
+
+        def read(_):
+            barrier.wait()
+            return inst.weights
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            arrays = list(pool.map(read, range(4)))
+        assert stored == [700]
+        assert all(a is arrays[0] for a in arrays)
+
+    def test_a_drawn_row_is_the_stored_row(self, monkeypatch):
+        # repair draws the whole rows of the vertices it frees
+        stored = _spy_on_storing(monkeypatch)
+        streamed = generate(300, 0.6, 9)
+        dense = from_arrays(*_reference_matrices(300, 0.6, 9), s=0.6, seed=9)
+        phi(streamed, 0.5, 1.0)
+        for row in (0, 17, 299, 17):
+            weights, costs = streamed.edges(row)
+            assert weights.tobytes() == dense.weights[row].tobytes()
+            assert costs.tobytes() == dense.costs[row].tobytes()
+        cols = np.array([3, 0, 299])
+        weights, costs = streamed.edges(np.array([17, 17, 17]), cols)
+        assert weights.tolist() == dense.weights[17, cols].tolist()
+        assert costs.tolist() == dense.costs[17, cols].tolist()
+        assert stored == []
