@@ -258,6 +258,13 @@ def lambda_hint(n: int, c0: float, s: float = 1.0) -> float:
         return 0.0
 
 
+def _theorem2_band(n: int, s: float) -> tuple[float, float]:
+    """The budgets that predict covers for s < 1: [n**(1-s), n] shrunk by
+    sqrt(log n) on both ends."""
+    guard = math.sqrt(math.log(n))
+    return n ** (1.0 - s) * guard, n / guard
+
+
 def predict(n: int, c0: float, s: float = 1.0) -> Prediction:
     """Classify (n, c0, s) into a regime and emit its predicted optimum.
 
@@ -273,9 +280,7 @@ def predict(n: int, c0: float, s: float = 1.0) -> Prediction:
     log_n = math.log(n)
 
     if s < 1.0:
-        guard = math.sqrt(log_n)
-        lo = n ** (1.0 - s) * guard
-        hi = n / guard
+        lo, hi = _theorem2_band(n, s)
         if not lo <= c0 <= hi:
             raise AmbiguousRegimeError(
                 f"c0={c0:.4g} outside the s<1 band [{lo:.4g}, {hi:.4g}] for n={n}, s={s}"

@@ -19,11 +19,13 @@ one-row swap moves a row onto. Each row's lightest edge
 (``Instance.cheapest_weights``) is the lam = 0 argmin, so whether the
 budget binds at all costs no pass of its own. A generated instance is
 drawn by its first pass (``Instance.scan``), which finds those edges while
-it draws; ``maximize_dual`` makes that pass first, at the first bracket
-ends when the paper gives a maximiser (stage 1), so the trial's one
-streamed pass also evaluates both ends and collects the candidates. A
-later pass stores the matrices first. Every later read, by the dual, the
-swap and the arborescence stages, gathers entries that a pass named
+it draws. ``maximize_dual`` makes that pass first: where the budget is
+slack in all but rare trials (``_budget_is_slack``) it only draws; where
+the paper gives the maximiser it evaluates the first bracket ends (stage
+1) and collects the candidates too, so it is the trial's one full pass.
+Elsewhere, and below 256 rows, the instance is stored first, since a
+later pass would store it anyway. Every later read, by the dual, the swap and
+the arborescence stages, gathers entries that the first pass kept
 (``Instance.edges``), and the dual never asks how the instance is held.
 
 The maximiser is found exactly, in three stages, of which only the first
@@ -64,9 +66,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import lambda_hint
+from .asymptotics import _theorem2_band, lambda_hint
 from .errors import InfeasibleBudgetError
-from .instance import _ROW_BLOCK, Instance, _row_minima
+from .instance import Instance, _block_rows, _row_minima
 
 _LAMBDA_OVERFLOW_GUARD = 1e30
 # Step of the bracket search: a larger step saves full evaluations but widens
@@ -158,8 +160,9 @@ class _PhiEvaluator:
     ``keep_candidates`` has run, ``at`` scans only each row's candidate
     columns, with the same arithmetic and the same gather-and-sum, so it
     returns the full evaluation bit for bit at any lam in the bracket the
-    candidates were collected for. Every gather is ``Instance.edges``, of
-    entries that a pass names: argmins and candidates.
+    candidates were collected for. A pass takes the weight and the cost at
+    each argmin while their block is in cache; every later gather is
+    ``Instance.edges``, of candidates and of each row's cheapest edges.
     """
 
     def __init__(self, instance: Instance, c0: float):
@@ -178,16 +181,18 @@ class _PhiEvaluator:
             lam=lam, phi=_line(m, lam, self.c0), argmin=m, subgradient=m.cost - self.c0
         )
 
-    def _scan(self, t0: int, t1: int, lams, f, minima, minima_above):
+    def _scan(self, t0: int, t1: int, lams, f, minima, picked, minima_above):
         """The visit of rows [t0, t1) for ``Instance.scan``: on each block,
         W + lam*C with its +inf diagonal for each lam in turn, each row's
-        argmin and minimum into ``f`` and ``minima``, and, against
-        ``minima_above``, the candidates of the last lam. A visit names the
-        block's candidates, or without them its argmins, as flat indices."""
+        argmin and minimum into ``f`` and ``minima``, the weight and the
+        cost at the argmin into ``picked``, and, against ``minima_above``,
+        the candidates of the last lam, which a visit names as flat
+        indices."""
         if not lams:  # the pass that only draws
             return lambda *block: None
         n = self.instance.n
-        buf = np.empty((min(t1 - t0, _ROW_BLOCK), n))
+        buf = np.empty((min(t1 - t0, _block_rows(n)), n))
+        rows = self.rows
 
         def visit(b0, b1, weights, costs):
             scores = buf[: b1 - b0]
@@ -200,11 +205,13 @@ class _PhiEvaluator:
                     # entries (t, b0 + t): row t's own column
                     scores.reshape(-1)[b0 :: n + 1] = np.inf
                     _row_minima(scores, f[k, b0:b1], minima[k, b0:b1])
+            cols = f[:, b0:b1]
+            picked[0, :, b0:b1] = weights[rows[: b1 - b0], cols]
+            picked[1, :, b0:b1] = costs[rows[: b1 - b0], cols]
             if minima_above is not None:
                 mask = scores <= minima_above[b0:b1, None]
                 return mask.reshape(-1).nonzero()[0] + b0 * n
-            # a single lam: the argmins its evaluation gathers
-            return f[0, b0:b1] + np.arange(b0, b1) * n
+            return None
 
         return visit
 
@@ -214,37 +221,38 @@ class _PhiEvaluator:
         ``minima_above`` (None: not collected). Large passes run in row
         chunks on threads; the candidates are joined in row order, so
         their flat indices ascend."""
-        inst, rows = self.instance, self.rows
+        inst = self.instance
         n = inst.n
         f = np.empty((len(lams), n), dtype=np.intp)
         minima = np.empty((len(lams), n))
+        picked = np.empty((2, len(lams), n))  # the weights and costs at f
         if minima_above is None and len(lams) > 1:
             # filled block by block before the last lam's scan reads it
             minima_above = minima[-2]
         named = inst.scan(
-            lambda t0, t1: self._scan(t0, t1, lams, f, minima, minima_above),
+            lambda t0, t1: self._scan(t0, t1, lams, f, minima, picked, minima_above),
             n * n >= _THREADED_MIN_ENTRIES,
         )
-        # each lam's row of the gathered edges sums as a 1-d array would
-        weights, costs = inst.edges(rows, f)
-        weights, costs = weights.sum(axis=1), costs.sum(axis=1)
+        # each lam's row sums as a 1-d array would
+        weights, costs = picked.sum(axis=2)
         evaluations = [
             self._evaluation(lam, f[k], weights[k], costs[k]) for k, lam in enumerate(lams)
         ]
-        return evaluations, minima, (named if minima_above is not None else None)
+        return evaluations, minima, named
 
-    def draw(self, a: float | None = None, b: float | None = None) -> None:
+    def draw(self, ends) -> None:
         """If the instance is still to be drawn, draw it by a pass at the
-        bracket ends a < b (none given: at no lam), which ``ends(a, b)``
-        then takes without a pass. The pass finds each row's cheapest
-        edges too (``Instance.scan``)."""
+        bracket ends ``(a, b)``, a < b, which ``ends(a, b)`` then takes
+        without a pass, or by a pass at no lam for ``()``; for None, store
+        it instead. The pass finds each row's cheapest edges too
+        (``Instance.scan``)."""
         def first_scan():
-            if b is None:
-                self._pass((), None)
+            if ends:
+                self._first = ends, self._pass(ends[::-1], None)
             else:
-                self._first = (a, b), self._pass((b, a), None)
+                self._pass((), None)
 
-        self.instance.draw_by(first_scan)
+        self.instance.draw_by(None if ends is None else first_scan)
 
     def full(self, lam: float) -> tuple[DualEvaluation, np.ndarray]:
         """Full evaluation plus each row's minimum of W + lam*C."""
@@ -362,22 +370,23 @@ def maximize_dual(instance: Instance, c0: float) -> DualOptimum:
     evaluations of each kind were made.
     """
     _check_budget(c0)
-    # 1. Full evaluations start at b = 1.5 and a = 1/1.5 times the paper's
-    # maximiser or, without one, at b = n log n and a = b/8.
-    n = instance.n
-    hint = lambda_hint(n, c0, instance.s) if n >= _HINT_MIN_N else 0.0
-    hinted = 0.0 < hint < _lambda_ceiling(n)
-    if hinted:
-        b = min(hint * _HINT_MARGIN, _lambda_ceiling(n))
-        below = hint / _HINT_MARGIN
-    else:
-        b = n * math.log(n)
-        below = b / _BRACKET_FACTOR
+    n, s = instance.n, instance.s
     evaluate = _PhiEvaluator(instance, c0)
     # An instance still to be drawn is drawn by the first pass, which finds
-    # each row's cheapest edges and, from the paper's maximiser, scans the
-    # first bracket ends while it draws.
-    evaluate.draw(*((_floored(below, b), b) if hinted else ()))
+    # each row's cheapest edges. From _HINT_MIN_N rows on, where the budget
+    # is slack that is all it does, and where the paper gives the maximiser
+    # (for s < 1, inside predict's band) it scans the first bracket ends
+    # too. Elsewhere those ends seldom bracket lambda* and a second pass
+    # would draw the instance again, so it is stored first, as a smaller
+    # one is: its matrices take at most 1 MB.
+    start = None
+    if n >= _HINT_MIN_N and _budget_is_slack(n, s, c0):
+        evaluate.draw(())
+    else:
+        start = below, b, hinted = _start(n, c0, s)
+        lo, hi = _theorem2_band(n, s)
+        covered = hinted and (s == 1.0 or lo <= c0 <= hi)
+        evaluate.draw((_floored(below, b), b) if covered else None)
     cheapest = min_cost_sum(instance)
     if cheapest > c0:
         raise InfeasibleBudgetError(
@@ -387,6 +396,8 @@ def maximize_dual(instance: Instance, c0: float) -> DualOptimum:
     e_lo = e_hi = evaluate.at_zero()
     lam = 0.0
     if e_lo.subgradient > 0:
+        # 1. full evaluations from the start, which costs a prediction
+        below, b, _ = start or _start(n, c0, s)
         e_lo, e_hi = _bracket(evaluate, below, b)
         # 2. and 3.: the lines meet on the candidates for [a, b]
         evaluate.keep_candidates()
@@ -399,6 +410,24 @@ def maximize_dual(instance: Instance, c0: float) -> DualOptimum:
         candidate_evaluations=evaluate.candidate_evaluations,
         candidate_width=evaluate.candidate_width,
     )
+
+
+def _budget_is_slack(n: int, s: float, c0: float) -> bool:
+    """Whether the lam = 0 argmin fits the budget in all but rare trials:
+    its cost is a sum of n independent U**s, of mean n/(1+s) and standard
+    deviation below 0.29*sqrt(n)."""
+    return c0 >= n / (1.0 + s) + math.sqrt(n)
+
+
+def _start(n: int, c0: float, s: float) -> tuple[float, float, bool]:
+    """Stage 1's start (below, b) and whether the paper's maximiser gave
+    it: b = 1.5 and below = 1/1.5 times the maximiser or, without one,
+    b = n log n and below = b/8."""
+    hint = lambda_hint(n, c0, s) if n >= _HINT_MIN_N else 0.0
+    if 0.0 < hint < _lambda_ceiling(n):
+        return hint / _HINT_MARGIN, min(hint * _HINT_MARGIN, _lambda_ceiling(n)), True
+    b = n * math.log(n)
+    return b / _BRACKET_FACTOR, b, False
 
 
 def _lambda_ceiling(n: int) -> float:

@@ -55,6 +55,10 @@ _MASK64 = (1 << 64) - 1
 # Rows per block of a row scan: a block stays in cache while it is scanned,
 # and no n x n work array is needed.
 _ROW_BLOCK = 32
+# A block of a stored instance's scan holds at least _ROW_BLOCK rows and at
+# most about this many entries: at small n, a visit per 32 rows costs more
+# in calls than the cache saves.
+_BLOCK_ENTRIES = 1 << 16
 # Below this n, a draw runs on the calling thread: starting a pool costs
 # more than a second core saves.
 _THREADED_MIN_N = 512
@@ -64,15 +68,17 @@ class Instance:
     """Immutable instance: n x n weight and cost matrices, diagonal +inf.
 
     ``cheapest_weights`` and ``cheapest_costs`` hold each row's lightest and
-    cheapest edge: its column (ties: the smallest) and its value. Every
-    array it hands out is read-only. A generated instance is drawn by its
-    first ``scan`` or stored on the first read that needs the matrices (see
-    the module docstring); either happens under a lock, once, so an
-    instance may be shared across threads.
+    cheapest edge: its column (ties: the smallest) and its value. ``n``,
+    ``s``, ``seed`` and every array it hands out are read-only. A generated
+    instance is drawn by its first ``scan`` or stored on the first read that
+    needs the matrices (see the module docstring); either happens under a
+    lock, once, so an instance may be shared across threads. It pickles and
+    copies without the lock: from (n, s, seed) alone while it is not
+    stored, else with its matrices, so it may go to a process pool too.
     """
 
     def __init__(self, n: int, s: float, seed: int, matrices=None):
-        self.n, self.s, self.seed = n, s, seed
+        self._n, self._s, self._seed = n, s, seed
         self._lock = threading.RLock()
         self._matrices = None  # (weights, costs) once dense
         self._cheapest = None  # (cheapest_weights, cheapest_costs) once drawn
@@ -80,6 +86,21 @@ class Instance:
         if matrices is not None:
             weights, costs = matrices
             self._set_dense(weights, costs, (_cheapest_edges(weights), _cheapest_edges(costs)))
+
+    def __reduce__(self):
+        return Instance, (self._n, self._s, self._seed, self._matrices)
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def s(self) -> float:
+        return self._s
+
+    @property
+    def seed(self) -> int:
+        return self._seed
 
     @property
     def weights(self) -> np.ndarray:
@@ -134,14 +155,19 @@ class Instance:
 
     def draw_by(self, first_scan) -> None:
         """Call ``first_scan`` if the instance is still to be drawn: a
-        caller with a scan to make anyway makes it the scan that draws."""
+        caller with a scan to make anyway makes it the scan that draws.
+        For None, the instance is stored instead."""
         with self._lock:
             if self._cheapest is None:
-                first_scan()
+                if first_scan is None:
+                    self._dense()
+                else:
+                    first_scan()
 
     def scan(self, visitor, threaded: bool):
-        """Visit every row, block by block of _ROW_BLOCK rows, in row chunks
-        as ``_in_row_chunks`` makes them. ``visitor(t0, t1)``, called on the
+        """Visit every row, block by block of at most ``_block_rows(n)``
+        rows (_ROW_BLOCK rows while drawing), in row chunks as
+        ``_in_row_chunks`` makes them. ``visitor(t0, t1)``, called on the
         thread that scans rows [t0, t1), returns the chunk's visit, which is
         called on each of its blocks in turn as ``visit(b0, b1, weights,
         costs)`` with the block's rows of both matrices (read them only).
@@ -157,12 +183,13 @@ class Instance:
                 if self._cheapest is None:
                     return self._stream(visitor, threaded or self.n >= _THREADED_MIN_N)
         weights, costs = self._dense()
+        step = _block_rows(self.n)
 
         def chunk(t0, t1):
             visit = visitor(t0, t1)
             found = []
-            for b0 in range(t0, t1, _ROW_BLOCK):
-                b1 = min(b0 + _ROW_BLOCK, t1)
+            for b0 in range(t0, t1, step):
+                b1 = min(b0 + step, t1)
                 named = visit(b0, b1, weights[b0:b1], costs[b0:b1])
                 if named is not None:
                     found.append(named)
@@ -250,6 +277,11 @@ class Instance:
             a.flags.writeable = False
 
 
+def _block_rows(n: int) -> int:
+    """The most rows a block of a stored instance's scan holds."""
+    return max(_ROW_BLOCK, _BLOCK_ENTRIES // n)
+
+
 def _empty_minima(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays for each row's cheapest edge: its column and its value."""
     return np.empty(n, dtype=np.intp), np.empty(n)
@@ -258,7 +290,9 @@ def _empty_minima(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _joined(chunks):
     """The flat index arrays of ``chunks`` (lists, in row order) as one."""
     found = [named for chunk in chunks for named in chunk]
-    return np.concatenate(found) if found else None
+    if len(found) > 1:
+        return np.concatenate(found)
+    return found[0] if found else None
 
 
 def _row_minima(block: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:

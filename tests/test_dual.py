@@ -991,6 +991,14 @@ class TestStreamedTrials:
         c0s = (math.sqrt(n), 0.6 * n, cheapest, 1.02 * cheapest)
         self.assert_streamed_is_dense(monkeypatch, n, s, 3, c0s)
 
+    def test_s_below_one_inside_and_outside_the_paper_band(self, monkeypatch):
+        # c0 = n**0.7 lies in predict's s < 1 band, where the first pass
+        # scans the hinted ends; 0.6n lies above it, where the instance is
+        # stored before the first pass; at 0.9n the budget is slack and the
+        # first pass only draws
+        c0s = (600**0.7, 0.6 * 600, 0.9 * 600)
+        self.assert_streamed_is_dense(monkeypatch, 600, 0.6, 3, c0s)
+
     def test_no_hint_infeasible_and_fallback(self, monkeypatch):
         # s = 1 and c0 = 1 give no hint; half the cheapest budget fits no
         # mapping; trial 2 of test_fallback_trial_report's config runs

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -382,6 +384,15 @@ def test_csv_export_round_trips_values(tmp_path):
         assert float(row["cost"]) == inst.costs[i, j]
 
 
+def _solved(inst, store: bool):
+    """``inst`` after a trial has drawn it and, if ``store``, a read has
+    stored it."""
+    solve_constrained_arborescence(inst, 20.0)
+    if store:
+        inst.weights
+    return inst
+
+
 def _spy_on_storing(monkeypatch) -> list:
     """The n of every instance whose matrices are stored from now on."""
     stored = []
@@ -393,6 +404,19 @@ def _spy_on_storing(monkeypatch) -> list:
 
     monkeypatch.setattr(instance_module.Instance, "_materialize", spy)
     return stored
+
+
+def _spy_on_streaming(monkeypatch) -> list:
+    """The n of every instance drawn by a scan from now on."""
+    streamed = []
+    shipped = instance_module.Instance._stream
+
+    def spy(self, *args):
+        streamed.append(self.n)
+        return shipped(self, *args)
+
+    monkeypatch.setattr(instance_module.Instance, "_stream", spy)
+    return streamed
 
 
 class TestStreamedInstances:
@@ -441,6 +465,66 @@ class TestStreamedInstances:
             arrays = list(pool.map(read, range(4)))
         assert stored == [700]
         assert all(a is arrays[0] for a in arrays)
+
+    def test_where_the_first_ends_seldom_bracket_the_instance_is_stored_first(
+        self, monkeypatch
+    ):
+        # s < 1 outside predict's band, and s = 1 at c0 = 1, where the paper
+        # gives no maximiser but the budget binds: a second pass would draw
+        # a streamed instance a second time. Inside the band, and where the
+        # budget is slack (600/1.6 + sqrt(600) < 0.9 * 600), nothing is stored.
+        stored, streamed = _spy_on_storing(monkeypatch), _spy_on_streaming(monkeypatch)
+        for s, c0 in ((0.6, 600**0.7), (0.6, 0.9 * 600), (1.0, 0.9 * 600)):
+            solve_constrained_arborescence(generate(600, s, 3), c0)
+        assert (stored, streamed) == ([], [600] * 3)
+        solve_constrained_arborescence(generate(600, 0.6, 3), 0.6 * 600)
+        solve_constrained_arborescence(generate(600, 1.0, 4), 1.0)
+        assert (stored, streamed) == ([600, 600], [600] * 3)
+
+    def test_below_256_rows_a_trial_stores_the_matrices_first(self, monkeypatch):
+        # the dual's first pass has no bracket below 256 rows, so a later
+        # pass would draw a streamed instance a second time
+        stored, streamed = _spy_on_storing(monkeypatch), _spy_on_streaming(monkeypatch)
+        for n in (5, 255, 256):
+            solve_constrained_arborescence(generate(n, 1.0, 2), math.sqrt(n))
+        assert (stored, streamed) == ([5, 255], [256])
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: generate(300, 0.6, 9), id="to-draw"),
+        pytest.param(lambda: _solved(generate(300, 0.6, 9), store=False), id="drawn"),
+        pytest.param(lambda: _solved(generate(300, 0.6, 9), store=True), id="stored"),
+        pytest.param(lambda: from_arrays(*_reference_matrices(300, 0.6, 9), s=0.6, seed=9),
+                     id="from_arrays"),
+    ])
+    def test_pickles_and_copies_to_the_same_instance(self, make):
+        # a process pool pickles its tasks' arguments
+        dense = from_arrays(*_reference_matrices(300, 0.6, 9), s=0.6, seed=9)
+        expected = solve_constrained_arborescence(dense, 20.0).arborescence.parent.tolist()
+        for clone in (pickle.loads(pickle.dumps(make())), copy.deepcopy(make()),
+                      copy.copy(make())):
+            assert (clone.n, clone.s, clone.seed) == (300, 0.6, 9)
+            result = solve_constrained_arborescence(clone, 20.0)
+            assert result.arborescence.parent.tolist() == expected
+            assert clone.weights.tobytes() == dense.weights.tobytes()
+            assert clone.costs.tobytes() == dense.costs.tobytes()
+            assert not clone.weights.flags.writeable
+
+    def test_a_gather_of_an_entry_not_kept_stores_the_matrices(self, monkeypatch):
+        stored = _spy_on_storing(monkeypatch)
+        streamed = generate(300, 0.6, 9)
+        dense = from_arrays(*_reference_matrices(300, 0.6, 9), s=0.6, seed=9)
+        phi(streamed, 0.5, 1.0)  # keeps each row's cheapest edges only
+        cols = np.array([streamed.cheapest_weights[0][4], int(dense.weights[4].argmax())])
+        weights, costs = streamed.edges(np.array([4, 4]), cols)
+        assert weights.tolist() == dense.weights[4, cols].tolist()
+        assert costs.tolist() == dense.costs[4, cols].tolist()
+        assert stored == [300]
+
+    def test_n_s_and_seed_are_read_only(self):
+        inst = generate(300, 1.0, 1)
+        for name in ("n", "s", "seed"):
+            with pytest.raises(AttributeError):
+                setattr(inst, name, 2)
 
     def test_a_drawn_row_is_the_stored_row(self, monkeypatch):
         # repair draws the whole rows of the vertices it frees
