@@ -26,7 +26,10 @@ the paper gives the maximiser it evaluates the first bracket ends (stage
 Elsewhere, and below 256 rows, the instance is stored first, since a
 later pass would store it anyway. Every later read, by the dual, the swap and
 the arborescence stages, gathers entries that the first pass kept
-(``Instance.edges``), and the dual never asks how the instance is held.
+(``Instance.edges``). So the dual picks the first pass, and with it whether
+a generated instance is stored, from (n, s, c0) alone; it never asks how the
+instance is held, nor how a pass walks the rows: blocks, row chunks, threads
+and scratch buffers are the instance's (``Instance.scan``).
 
 The maximiser is found exactly, in three stages, of which only the first
 scans the whole n x n matrix. Stages 1 and 3 (``_bracket``, ``_meet``) take
@@ -52,11 +55,10 @@ any evaluator: the arborescence fallback runs them on Edmonds' trees.
    The dual's maximum is then the feasible-side argmin's line at lam.
 
 Each stage-3 step costs O(n*k) for k candidates per row. Full scans run
-block by block of rows, so no n x n work array is allocated. A scan of at
-least 2**22 entries runs in row chunks, one per CPU this process may run
-on, on threads that end with the scan. Every value is the same bits for
-any number of chunks: the rows are independent and the candidates are
-joined in row order.
+block by block of rows, so no n x n work array is allocated, and a large
+scan runs in row chunks on threads that end with it. Every value is the
+same bits for any number of chunks: the rows are independent and the
+candidates are joined in row order.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import numpy as np
 
 from .asymptotics import _theorem2_band, lambda_hint
 from .errors import InfeasibleBudgetError
-from .instance import Instance, _block_rows, _row_minima
+from .instance import Instance, _row_minima
 
 _LAMBDA_OVERFLOW_GUARD = 1e30
 # Step of the bracket search: a larger step saves full evaluations but widens
@@ -81,9 +83,6 @@ _BRACKET_FLOOR = 1e-10
 # n log n makes fewer passes.
 _HINT_MIN_N = 256
 _HINT_MARGIN = 1.5
-# A full pass runs in row chunks on threads from this many entries (n*n) on:
-# below it, starting threads costs more than they save.
-_THREADED_MIN_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +155,7 @@ class _PhiEvaluator:
     """Dual evaluations on one instance, counted by kind.
 
     A full evaluation scans W + lam*C block by block of rows
-    (``Instance.scan``), each chunk of rows through its own buffer. Once
+    (``Instance.scan``), in the scratch buffer the instance gives. Once
     ``keep_candidates`` has run, ``at`` scans only each row's candidate
     columns, with the same arithmetic and the same gather-and-sum, so it
     returns the full evaluation bit for bit at any lam in the bracket the
@@ -181,21 +180,23 @@ class _PhiEvaluator:
             lam=lam, phi=_line(m, lam, self.c0), argmin=m, subgradient=m.cost - self.c0
         )
 
-    def _scan(self, t0: int, t1: int, lams, f, minima, picked, minima_above):
-        """The visit of rows [t0, t1) for ``Instance.scan``: on each block,
+    def _pass(self, lams, minima_above):
+        """One pass over the rows (``Instance.scan``): on each block,
         W + lam*C with its +inf diagonal for each lam in turn, each row's
-        argmin and minimum into ``f`` and ``minima``, the weight and the
-        cost at the argmin into ``picked``, and, against ``minima_above``,
-        the candidates of the last lam, which a visit names as flat
-        indices."""
-        if not lams:  # the pass that only draws
-            return lambda *block: None
+        argmin and minimum, the weight and the cost at the argmin, and,
+        against ``minima_above`` (None: not collected), the candidates of
+        the last lam as flat indices, which ascend. Returns the evaluation
+        and the row minima at each lam, and the candidates."""
         n = self.instance.n
-        buf = np.empty((min(t1 - t0, _block_rows(n)), n))
         rows = self.rows
+        f = np.empty((len(lams), n), dtype=np.intp)
+        minima = np.empty((len(lams), n))
+        picked = np.empty((2, len(lams), n))  # the weights and costs at f
+        if minima_above is None and len(lams) > 1:
+            # filled block by block before the last lam's scan reads it
+            minima_above = minima[-2]
 
-        def visit(b0, b1, weights, costs):
-            scores = buf[: b1 - b0]
+        def visit(b0, b1, weights, costs, scores):
             # lam=0 turns the inf diagonal into nan. The error state is the
             # calling thread's own, so it is set here, on the thread that scans.
             with np.errstate(invalid="ignore"):
@@ -213,26 +214,7 @@ class _PhiEvaluator:
                 return mask.reshape(-1).nonzero()[0] + b0 * n
             return None
 
-        return visit
-
-    def _pass(self, lams, minima_above):
-        """One pass over the rows: the evaluation and the row minima
-        at each lam, plus the candidates of the last lam against
-        ``minima_above`` (None: not collected). Large passes run in row
-        chunks on threads; the candidates are joined in row order, so
-        their flat indices ascend."""
-        inst = self.instance
-        n = inst.n
-        f = np.empty((len(lams), n), dtype=np.intp)
-        minima = np.empty((len(lams), n))
-        picked = np.empty((2, len(lams), n))  # the weights and costs at f
-        if minima_above is None and len(lams) > 1:
-            # filled block by block before the last lam's scan reads it
-            minima_above = minima[-2]
-        named = inst.scan(
-            lambda t0, t1: self._scan(t0, t1, lams, f, minima, picked, minima_above),
-            n * n >= _THREADED_MIN_ENTRIES,
-        )
+        named = self.instance.scan(visit)
         # each lam's row sums as a 1-d array would
         weights, costs = picked.sum(axis=2)
         evaluations = [
@@ -243,14 +225,14 @@ class _PhiEvaluator:
     def draw(self, ends) -> None:
         """If the instance is still to be drawn, draw it by a pass at the
         bracket ends ``(a, b)``, a < b, which ``ends(a, b)`` then takes
-        without a pass, or by a pass at no lam for ``()``; for None, store
-        it instead. The pass finds each row's cheapest edges too
+        without a pass, or by a scan that only draws for ``()``; for None,
+        store it instead. Either scan finds each row's cheapest edges too
         (``Instance.scan``)."""
         def first_scan():
             if ends:
                 self._first = ends, self._pass(ends[::-1], None)
             else:
-                self._pass((), None)
+                self.instance.scan(None)
 
         self.instance.draw_by(None if ends is None else first_scan)
 

@@ -12,7 +12,9 @@ any position draws the same bits there as the whole stream would. Rows are
 therefore drawn in independent chunks, one per CPU this process may run
 on, and the result depends on neither the chunk count nor thread order.
 The thread count is not a setting: it is read from the CPU affinity, and
-small instances are drawn on the calling thread.
+small instances are drawn and scanned on the calling thread. The instance
+alone decides how a scan walks its rows: blocks, chunks, threads and the
+visit's scratch buffers.
 Diagonal entries hold +inf so no row scan can ever select a self-loop.
 
 Rows are drawn in blocks of _ROW_BLOCK rows (``_draw_rows``). While a
@@ -59,9 +61,16 @@ _ROW_BLOCK = 32
 # most about this many entries: at small n, a visit per 32 rows costs more
 # in calls than the cache saves.
 _BLOCK_ENTRIES = 1 << 16
-# Below this n, a draw runs on the calling thread: starting a pool costs
-# more than a second core saves.
+# A draw runs in row chunks on threads from this n on: storing an instance
+# at n = 1000 took 11.3 ms serial and 8.1 ms on 2 threads (in-process
+# medians, 2 vCPUs). Below it, starting a pool costs more than a second core
+# saves.
 _THREADED_MIN_N = 512
+# A scan of a stored instance runs in row chunks on threads from this many
+# entries (n*n) on, n >= 2048: a dual pass at one lam took 2.55 ms serial
+# and 3.46 ms on 2 threads at n = 1500, and 22-26 ms serial and 16.5 ms on
+# 2 threads at n = 3000 (in-process medians, 2 vCPUs).
+_THREADED_MIN_ENTRIES = 1 << 22
 
 
 class Instance:
@@ -164,56 +173,60 @@ class Instance:
                 else:
                     first_scan()
 
-    def scan(self, visitor, threaded: bool):
-        """Visit every row, block by block of at most ``_block_rows(n)``
-        rows (_ROW_BLOCK rows while drawing), in row chunks as
-        ``_in_row_chunks`` makes them. ``visitor(t0, t1)``, called on the
-        thread that scans rows [t0, t1), returns the chunk's visit, which is
-        called on each of its blocks in turn as ``visit(b0, b1, weights,
-        costs)`` with the block's rows of both matrices (read them only).
-        A visit may return ascending flat indices row * n + column of
-        entries of its block; the scan returns them joined in row order, or
-        None if no visit returned any.
+    def scan(self, visit):
+        """Visit every row, block by block of at most
+        max(_ROW_BLOCK, _BLOCK_ENTRIES // n) rows (_ROW_BLOCK rows while
+        drawing), in row chunks as ``_in_row_chunks`` makes them: threaded
+        from _THREADED_MIN_N rows on while drawing, else from
+        _THREADED_MIN_ENTRIES entries on. ``visit(b0, b1, weights, costs,
+        scratch)`` is called on each block, on the thread that scans it,
+        with the block's rows of both matrices (read them only) and an
+        array of the block's shape that belongs to its chunk. A visit may
+        return ascending flat indices row * n + column of entries of its
+        block; the scan returns them joined in row order, or None if no
+        visit returned any. ``visit`` None, while the instance is still to
+        be drawn: the scan only draws.
 
-        The scan that draws an instance keeps those entries for ``edges``,
-        and always in threads from _THREADED_MIN_N rows on.
+        The scan that draws an instance keeps those entries for ``edges``.
         """
         if self._matrices is None:
             with self._lock:
                 if self._cheapest is None:
-                    return self._stream(visitor, threaded or self.n >= _THREADED_MIN_N)
+                    return self._stream(visit)
         weights, costs = self._dense()
-        step = _block_rows(self.n)
+        n = self.n
+        step = max(_ROW_BLOCK, _BLOCK_ENTRIES // n)
 
         def chunk(t0, t1):
-            visit = visitor(t0, t1)
+            scratch = np.empty((min(t1 - t0, step), n))
             found = []
             for b0 in range(t0, t1, step):
                 b1 = min(b0 + step, t1)
-                named = visit(b0, b1, weights[b0:b1], costs[b0:b1])
+                named = visit(b0, b1, weights[b0:b1], costs[b0:b1], scratch[: b1 - b0])
                 if named is not None:
                     found.append(named)
             return found
 
-        return _joined(_in_row_chunks(chunk, self.n, threaded))
+        return _joined(_in_row_chunks(chunk, n, n * n >= _THREADED_MIN_ENTRIES))
 
-    def _stream(self, visitor, threaded: bool):
+    def _stream(self, visit):
         """``scan`` of an instance still to be drawn: each block is drawn
-        into buffers of its chunk and visited while it is in cache."""
+        into slabs of its chunk and visited while it is in cache."""
         n = self.n
         cheapest = _empty_minima(n), _empty_minima(n)
 
         def chunk(t0, t1):
-            visit = visitor(t0, t1)
-            # A mapping of their own, unmapped when the chunk ends: heap
-            # buffers stay resident in the thread's allocator arena.
+            # Slabs for the weights, the costs and the visit's scratch, in a
+            # mapping of their own, unmapped when the chunk ends: heap
+            # buffers stay resident in the thread's allocator arena. A slab
+            # that is never written, as without a visit, takes no memory.
             rows = min(t1 - t0, _ROW_BLOCK)
-            buffers = np.frombuffer(mmap.mmap(-1, 2 * rows * n * 8)).reshape(2, rows, n)
+            slabs = np.frombuffer(mmap.mmap(-1, 3 * rows * n * 8)).reshape(3, rows, n)
             found, kept = [], []
             blocks = _draw_rows(self.seed, self.s, n, t0, t1, cheapest,
-                                lambda b0, b1: buffers[:, : b1 - b0])
+                                lambda b0, b1: slabs[:2, : b1 - b0])
             for b0, b1, weights, costs in blocks:
-                named = visit(b0, b1, weights, costs)
+                named = visit(b0, b1, weights, costs, slabs[2, : b1 - b0]) if visit else None
                 starts = np.arange(b0, b1) * n
                 keys = [starts + cheapest[0][0][b0:b1], starts + cheapest[1][0][b0:b1]]
                 if named is not None:
@@ -226,7 +239,7 @@ class Instance:
                 kept.append((keys, weights.reshape(-1)[local], costs.reshape(-1)[local]))
             return found, kept
 
-        chunks = _in_row_chunks(chunk, n, threaded)
+        chunks = _in_row_chunks(chunk, n, n >= _THREADED_MIN_N)
         kept = [block for _, blocks in chunks for block in blocks]
         self._kept = tuple(np.concatenate(part) for part in zip(*kept))
         for a in (*self._kept, *cheapest[0], *cheapest[1]):
@@ -277,11 +290,6 @@ class Instance:
             a.flags.writeable = False
 
 
-def _block_rows(n: int) -> int:
-    """The most rows a block of a stored instance's scan holds."""
-    return max(_ROW_BLOCK, _BLOCK_ENTRIES // n)
-
-
 def _empty_minima(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays for each row's cheapest edge: its column and its value."""
     return np.empty(n, dtype=np.intp), np.empty(n)
@@ -303,13 +311,10 @@ def _row_minima(block: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None
 
 
 def _cheapest_edges(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's smallest entry of a whole matrix, by the block scan that
-    the draw makes."""
-    n = len(m)
-    cols, values = _empty_minima(n)
-    for r0 in range(0, n, _ROW_BLOCK):
-        rows = slice(r0, r0 + _ROW_BLOCK)
-        _row_minima(m[rows], cols[rows], values[rows])
+    """Each row's smallest entry of a whole matrix, as the draw finds it
+    block by block: a row's minimum does not depend on the blocks."""
+    cols, values = _empty_minima(len(m))
+    _row_minima(m, cols, values)
     return cols, values
 
 

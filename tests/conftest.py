@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 from costarb import from_arrays
+from costarb import instance as instance_module
 
 # Hand-checkable 3-vertex instance used across the dual/oracle tests.
 # All 8 fixed-point-free mappings, (f(0), f(1), f(2)) with weight/cost:
@@ -42,3 +45,20 @@ def all_mappings(n):
     choices = [[j for j in range(n) if j != i] for i in range(n)]
     for combo in itertools.product(*choices):
         yield np.asarray(combo, dtype=np.int64)
+
+
+def spy_on_chunks(monkeypatch) -> list:
+    """(t0, t1, thread) of every row chunk that an instance draws or scans
+    from now on: its rows and the thread it ran on."""
+    chunks = []
+    shipped = instance_module._in_row_chunks
+
+    def spy(work, rows, threaded):
+        def traced(t0, t1):
+            chunks.append((t0, t1, threading.current_thread()))
+            return work(t0, t1)
+
+        return shipped(traced, rows, threaded)
+
+    monkeypatch.setattr(instance_module, "_in_row_chunks", spy)
+    return chunks

@@ -36,7 +36,7 @@ from costarb import dual as dual_module
 from costarb import instance as instance_module
 from costarb.harness import derive_trial_seed
 from costarb.instance import _ROW_BLOCK, _row_minima
-from conftest import all_mappings
+from conftest import all_mappings, spy_on_chunks
 
 
 def brute_force_phi(inst, lam, c0):
@@ -818,9 +818,11 @@ def _serial_full(evaluate, lam, minima_above=None):
 
 
 def _thread_the_passes(monkeypatch, cpus):
-    """Run every dual pass in min(cpus, rows // _ROW_BLOCK) row chunks."""
+    """Run every draw and every dual pass in min(cpus, rows // _ROW_BLOCK)
+    row chunks."""
     monkeypatch.setattr(instance_module, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(dual_module, "_THREADED_MIN_ENTRIES", 0)
+    monkeypatch.setattr(instance_module, "_THREADED_MIN_ENTRIES", 0)
+    monkeypatch.setattr(instance_module, "_THREADED_MIN_N", 0)
 
 
 class TestThreadedPasses:
@@ -837,14 +839,7 @@ class TestThreadedPasses:
     @pytest.mark.parametrize("n", [2, 5, 33, 600, 2100])
     def test_equals_the_serial_passes(self, n, monkeypatch):
         inst = generate(n, 0.6, 3)
-        scans = []
-        shipped = dual_module._PhiEvaluator._scan
-
-        def spy(self, t0, t1, *args):
-            scans.append((t0, t1))
-            return shipped(self, t0, t1, *args)
-
-        monkeypatch.setattr(dual_module._PhiEvaluator, "_scan", spy)
+        scans = spy_on_chunks(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -878,18 +873,13 @@ class TestThreadedPasses:
         # and numpy's error state does not pass from the caller to them
         monkeypatch.setattr(instance_module, "_cpu_count", lambda: 2)
         inst = generate(2100, 1.0, 4)
-        assert 2100 * 2100 >= dual_module._THREADED_MIN_ENTRIES
-        scans = []
-        shipped = dual_module._PhiEvaluator._scan
-
-        def spy(self, *args):
-            scans.append(threading.current_thread() is threading.main_thread())
-            return shipped(self, *args)
-
-        monkeypatch.setattr(dual_module._PhiEvaluator, "_scan", spy)
+        assert 2100 * 2100 >= instance_module._THREADED_MIN_ENTRIES
+        c0 = min_cost_sum(inst)
+        chunks = spy_on_chunks(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            phi(inst, 0.0, min_cost_sum(inst))
+            phi(inst, 0.0, c0)
+        scans = [thread is threading.main_thread() for _, _, thread in chunks]
         assert scans == [False, False]
 
     def test_dual_is_the_same_in_any_chunk_count(self, monkeypatch):
@@ -914,20 +904,15 @@ class TestThreadedPasses:
     def test_no_thread_outlives_a_call(self, monkeypatch):
         # Both the draw and the dual's passes run on threads here, and every
         # thread has ended when the call returns.
+        n = instance_module._THREADED_MIN_N
         _thread_the_passes(monkeypatch, 2)
-        workers = set()
-        shipped = dual_module._PhiEvaluator._scan
-
-        def spy(self, *args):
-            workers.add(threading.current_thread() is not threading.main_thread())
-            return shipped(self, *args)
-
-        monkeypatch.setattr(dual_module._PhiEvaluator, "_scan", spy)
+        chunks = spy_on_chunks(monkeypatch)
         before = threading.active_count()
-        inst = generate(instance_module._THREADED_MIN_N, 1.0, 5)
+        inst = generate(n, 1.0, 5)
         assert threading.active_count() == before
         maximize_dual(inst, math.sqrt(inst.n))
         assert threading.active_count() == before
+        workers = {thread is not threading.main_thread() for _, _, thread in chunks}
         assert True in workers
 
     def test_forked_workers_after_threaded_passes(self, monkeypatch):

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import os
 import pickle
 import sys
 import threading
@@ -30,6 +31,7 @@ from costarb import (
 )
 from costarb import instance as instance_module
 from costarb.instance import _HEADER, _MAGIC, _THREADED_MIN_N, _VERSION
+from conftest import spy_on_chunks
 
 # PCG64's output and its jump-ahead are algorithmically pinned, so the
 # exact bytes are stable across platforms and numpy versions.
@@ -206,6 +208,39 @@ class TestGenerationGate:
         serial = run_experiment(ExperimentConfig(**config, parallelism=1))
         forked = run_experiment(ExperimentConfig(**config, parallelism=2))
         assert forked.to_json() == serial.to_json()
+
+
+class TestThreadBoundaries:
+    """On two CPUs, a drawing scan runs in two row chunks from 512 rows on
+    and a scan of a stored instance from 2048 rows on; below, one chunk on
+    the calling thread."""
+
+    @pytest.mark.parametrize("n,chunks", [(511, 1), (512, 2)])
+    def test_a_drawing_scan(self, n, chunks, monkeypatch):
+        monkeypatch.setattr(instance_module, "_cpu_count", lambda: 2)
+        scanned = spy_on_chunks(monkeypatch)
+        generate(n, 1.0, 0).scan(None)
+        assert len(scanned) == chunks
+
+    @pytest.mark.parametrize("n,chunks", [(2047, 1), (2048, 2)])
+    def test_a_stored_scan(self, n, chunks, monkeypatch):
+        monkeypatch.setattr(instance_module, "_cpu_count", lambda: 2)
+        # stored matrices that hold one row of memory between them
+        row = np.broadcast_to(np.arange(n, dtype=float), (n, n))
+        stored = instance_module.Instance(n, 1.0, 0, (row, row))
+        scanned = spy_on_chunks(monkeypatch)
+        visited = []
+        assert stored.scan(lambda b0, b1, *block: visited.append((b0, b1))) is None
+        assert len(scanned) == chunks
+        assert sum(b1 - b0 for b0, b1 in visited) == n
+        on_main = {thread is threading.main_thread() for _, _, thread in scanned}
+        assert on_main == {chunks == 1}
+
+    def test_the_cpu_count_without_cpu_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert instance_module._cpu_count() == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert instance_module._cpu_count() == 1
 
 
 class TestCheapestCosts:
