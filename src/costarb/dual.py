@@ -18,18 +18,23 @@ budget is infeasible, and the edges are the lam -> inf argmins that the
 one-row swap moves a row onto. Each row's lightest edge
 (``Instance.cheapest_weights``) is the lam = 0 argmin, so whether the
 budget binds at all costs no pass of its own. A generated instance is
-drawn by its first pass (``Instance.scan``), which finds those edges while
-it draws. ``maximize_dual`` makes that pass first: where the budget is
-slack in all but rare trials (``_budget_is_slack``) it only draws; where
-the paper gives the maximiser it evaluates the first bracket ends (stage
-1) and collects the candidates too, so it is the trial's one full pass.
-Elsewhere, and below 256 rows, the instance is stored first, since a
-later pass would store it anyway. Every later read, by the dual, the swap and
-the arborescence stages, gathers entries that the first pass kept
-(``Instance.edges``). So the dual picks the first pass, and with it whether
-a generated instance is stored, from (n, s, c0) alone; it never asks how the
-instance is held, nor how a pass walks the rows: blocks, row chunks, threads
-and scratch buffers are the instance's (``Instance.scan``).
+drawn by one rule (``Instance.scan``): its first scan draws it and finds
+those edges while it draws, and any other read that needs its matrices,
+``cheapest_*`` included, stores them. ``maximize_dual`` decides which
+comes first, from (n, s, c0) alone, in three cases:
+
+- where the budget is slack in all but rare trials (``_budget_is_slack``),
+  it scans with no visit (``scan(None)``), which only draws;
+- where the paper gives the maximiser, it makes the pass at the first
+  bracket ends (stage 1) at once, which also collects the candidates, so
+  on a generated instance it is the trial's one full pass;
+- elsewhere, and below 256 rows, it scans nothing first: its read of the
+  cheapest costs stores the instance, as a later pass would anyway.
+
+Every later read, by the dual, the swap and the arborescence stages,
+gathers entries that the first pass kept (``Instance.edges``). The dual
+never asks how the instance is held, nor how a pass walks the rows:
+blocks, row chunks, threads and scratch buffers are the instance's.
 
 The maximiser is found exactly, in three stages, of which only the first
 scans the whole n x n matrix. Stages 1 and 3 (``_bracket``, ``_meet``) take
@@ -172,7 +177,7 @@ class _PhiEvaluator:
         self.candidate_evaluations = 0
         self.candidate_width = 0
         self._held = {}  # the last ends' a: its evaluation and row minima
-        self._first = None  # the drawing pass's ends and its _pass result
+        self._first = None  # the first pass's ends and its _pass result
 
     def _evaluation(self, lam: float, f, weight, cost) -> DualEvaluation:
         m = Mapping(f=f, weight=float(weight), cost=float(cost))
@@ -222,19 +227,11 @@ class _PhiEvaluator:
         ]
         return evaluations, minima, named
 
-    def draw(self, ends) -> None:
-        """If the instance is still to be drawn, draw it by a pass at the
-        bracket ends ``(a, b)``, a < b, which ``ends(a, b)`` then takes
-        without a pass, or by a scan that only draws for ``()``; for None,
-        store it instead. Either scan finds each row's cheapest edges too
-        (``Instance.scan``)."""
-        def first_scan():
-            if ends:
-                self._first = ends, self._pass(ends[::-1], None)
-            else:
-                self.instance.scan(None)
-
-        self.instance.draw_by(None if ends is None else first_scan)
+    def first(self, a: float, b: float) -> None:
+        """Make the pass at bracket ends a < b now, which ``ends(a, b)``
+        then takes as it is. On an instance still to be drawn, it is the
+        scan that draws it."""
+        self._first = (a, b), self._pass((b, a), None)
 
     def full(self, lam: float) -> tuple[DualEvaluation, np.ndarray]:
         """Full evaluation plus each row's minimum of W + lam*C."""
@@ -249,8 +246,8 @@ class _PhiEvaluator:
 
         One pass scans each block of rows at b and then, still in cache, at
         a. If b was the last call's a, its evaluation and row minima are
-        held and a is scanned alone. The pass that drew the instance at
-        a and b (``draw``) is taken as it is.
+        held and a is scanned alone. The pass that ``first`` made at a
+        and b is taken as it is, and counted only then.
         """
         first, self._first = self._first, None
         held = self._held.get(b)
@@ -354,21 +351,22 @@ def maximize_dual(instance: Instance, c0: float) -> DualOptimum:
     _check_budget(c0)
     n, s = instance.n, instance.s
     evaluate = _PhiEvaluator(instance, c0)
-    # An instance still to be drawn is drawn by the first pass, which finds
-    # each row's cheapest edges. From _HINT_MIN_N rows on, where the budget
-    # is slack that is all it does, and where the paper gives the maximiser
-    # (for s < 1, inside predict's band) it scans the first bracket ends
-    # too. Elsewhere those ends seldom bracket lambda* and a second pass
-    # would draw the instance again, so it is stored first, as a smaller
-    # one is: its matrices take at most 1 MB.
+    # A generated instance is drawn by its first scan and stored by any
+    # other first read (Instance.scan). From _HINT_MIN_N rows on, where the
+    # budget is slack, the first scan only draws; where the paper gives the
+    # maximiser (for s < 1, inside predict's band), it is the pass at the
+    # first bracket ends, made before the lambda = 0 check. Elsewhere those
+    # ends seldom bracket lambda* and a second pass would draw the instance
+    # again, so nothing is scanned first and min_cost_sum's read stores it,
+    # as it stores a smaller one: its matrices take at most 1 MB.
     start = None
     if n >= _HINT_MIN_N and _budget_is_slack(n, s, c0):
-        evaluate.draw(())
+        instance.scan(None)
     else:
         start = below, b, hinted = _start(n, c0, s)
         lo, hi = _theorem2_band(n, s)
-        covered = hinted and (s == 1.0 or lo <= c0 <= hi)
-        evaluate.draw((_floored(below, b), b) if covered else None)
+        if hinted and (s == 1.0 or lo <= c0 <= hi):
+            evaluate.first(_floored(below, b), b)
     cheapest = min_cost_sum(instance)
     if cheapest > c0:
         raise InfeasibleBudgetError(

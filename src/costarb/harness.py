@@ -162,7 +162,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             rows = list(pool.map(_run_trial, work, chunksize=1))
     else:
         rows = [_run_trial(w) for w in work]
-    rows.sort(key=lambda r: r["trial"])
 
     try:
         prediction = asymptotics.predict(config.n, c0, config.s).to_dict()

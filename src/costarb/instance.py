@@ -22,15 +22,19 @@ block is still in cache it is raised to the power s, gets its +inf
 diagonal and yields each row's cheapest weight and cheapest cost edge.
 
 ``generate`` draws nothing: it returns an instance fixed by (n, s, seed)
-whose first ``scan`` draws it. That scan hands each block, drawn into
-buffers of its row chunk, to the caller's visit, and keeps only each row's
-cheapest edges, the weight and cost at both of their columns, and the
-entries the visits name. ``edges`` gathers from those and draws a whole
-row on request; any other read of the matrices (``weights``, ``costs``,
-``cheapest_*`` before the first scan, ``save``, a later scan, a gather of
-an entry not kept) draws and stores both matrices once, as one generation
-does, and the instance is dense from then on. ``from_arrays`` and ``load``
-make dense instances, whose row minima come from the same block scan.
+that is drawn by one rule. Its first ``scan`` draws it, and every other
+read that needs its matrices stores them. That scan hands each block,
+drawn into buffers of its row chunk, to the caller's visit (``scan(None)``
+only draws), and keeps only each row's cheapest edges, the weight and cost
+at both of their columns, and the entries the visits name. ``edges``
+gathers from those and draws a whole row on request. Any other read of the
+matrices (``weights``, ``costs``, ``cheapest_*`` before the first scan,
+``save``, a later scan with a visit, a gather of an entry not kept) draws
+and stores both matrices once, as one generation does, and the instance is
+dense from then on. A caller picks which comes first by what it reads
+first; the dual's three cases are in its module docstring. ``from_arrays``
+and ``load`` make dense instances, whose row minima come from the same
+block scan.
 
 The on-disk format is a small self-describing binary: magic ``CARB``, a
 version word, the header (n, s, seed), then the raw little-endian weight
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import csv
 import mmap
+import operator
 import os
 import struct
 import threading
@@ -162,17 +167,6 @@ class Instance:
         _in_row_chunks(draw, n, n >= _THREADED_MIN_N)
         self._set_dense(weights, costs, cheapest)
 
-    def draw_by(self, first_scan) -> None:
-        """Call ``first_scan`` if the instance is still to be drawn: a
-        caller with a scan to make anyway makes it the scan that draws.
-        For None, the instance is stored instead."""
-        with self._lock:
-            if self._cheapest is None:
-                if first_scan is None:
-                    self._dense()
-                else:
-                    first_scan()
-
     def scan(self, visit):
         """Visit every row, block by block of at most
         max(_ROW_BLOCK, _BLOCK_ENTRIES // n) rows (_ROW_BLOCK rows while
@@ -184,15 +178,19 @@ class Instance:
         array of the block's shape that belongs to its chunk. A visit may
         return ascending flat indices row * n + column of entries of its
         block; the scan returns them joined in row order, or None if no
-        visit returned any. ``visit`` None, while the instance is still to
-        be drawn: the scan only draws.
+        visit returned any. ``visit`` None: the scan draws the instance if
+        it is still to be drawn, else does nothing.
 
-        The scan that draws an instance keeps those entries for ``edges``.
+        The first scan of a generated instance draws it and keeps those
+        entries for ``edges``; every other read that needs the matrices
+        stores them (module docstring).
         """
         if self._matrices is None:
             with self._lock:
                 if self._cheapest is None:
                     return self._stream(visit)
+        if visit is None:
+            return None
         weights, costs = self._dense()
         n = self.n
         step = max(_ROW_BLOCK, _BLOCK_ENTRIES // n)
@@ -377,12 +375,23 @@ def _in_row_chunks(work, rows: int, threaded: bool) -> list:
 
 def generate(n: int, s: float, seed: int) -> Instance:
     """The instance with i.i.d. U**s weights and costs on every edge drawn
-    from (n, s, seed); it is drawn when it is first read (module docstring)."""
+    from (n, s, seed); it is drawn when it is first read (module docstring).
+    Raises TypeError unless n and seed are integers, and ValueError unless
+    n >= 2 and 0 < s <= 1."""
+    n, seed = _integer("n", n), _integer("seed", seed)
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s}")
     return Instance(n, s, seed)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, if it is an integer of any type (numpy's too)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _model_violation(n: int, s: float, weights: np.ndarray, costs: np.ndarray) -> str | None:

@@ -685,6 +685,32 @@ class TestDualCounters:
         counters = (opt.full_evaluations, opt.candidate_evaluations, opt.candidate_width)
         assert counters == (0, 0, 0)
 
+    def test_the_hinted_pass_runs_before_the_zero_check(self, monkeypatch):
+        # At c0 = 149.9 the paper gives a maximiser, yet the lambda = 0
+        # argmin fits: the pass at the hinted ends is made first on the
+        # generated instance, where it draws, and on its dense copy alike,
+        # and neither counts it
+        passes = []
+        shipped = dual_module._PhiEvaluator._pass
+
+        def spy(self, lams, minima_above):
+            passes.append(tuple(lams))
+            return shipped(self, lams, minima_above)
+
+        monkeypatch.setattr(dual_module._PhiEvaluator, "_pass", spy)
+        drawn = generate(300, 1.0, 5)
+        dense = from_arrays(drawn.weights, drawn.costs, 1.0, 5)
+        opts = [maximize_dual(inst, 149.9) for inst in (drawn, dense)]
+        assert passes[0] == passes[1] and len(passes) == 2 and len(passes[0]) == 2
+        from_drawn, from_dense = (
+            (opt.lambda_star.hex(), opt.phi_star.hex(), _bits(opt.mapping_low),
+             _bits(opt.mapping_high), opt.full_evaluations, opt.candidate_evaluations,
+             opt.candidate_width)
+            for opt in opts
+        )
+        assert from_drawn == from_dense
+        assert from_drawn[0] == (0.0).hex() and from_drawn[4:] == (0, 0, 0)
+
     def test_pipeline_trace_carries_counters(self):
         inst = generate(600, 1.0, 3)
         c0 = math.sqrt(600)

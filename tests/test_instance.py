@@ -148,6 +148,22 @@ def test_invalid_parameters_rejected():
         from_arrays(np.zeros((3, 3)), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("n,seed,message", [
+    (10, 1.5, "seed must be an integer, got 1.5"),
+    (10.0, 0, "n must be an integer, got 10.0"),
+    (2.5, 0, "n must be an integer, got 2.5"),
+])
+def test_non_integer_n_or_seed_rejected(n, seed, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        generate(n, 1.0, seed)
+
+
+def test_numpy_integer_n_and_seed_accepted():
+    inst = generate(np.int64(5), 1.0, np.uint64(2**63 + 1))
+    assert (inst.n, inst.seed) == (5, 2**63 + 1)
+    assert inst.weights.tobytes() == generate(5, 1.0, 2**63 + 1).weights.tobytes()
+
+
 def test_uniform_marginals_kolmogorov_distance():
     inst = generate(2000, 1.0, 11)
     sample = np.sort(inst.weights[~np.eye(2000, dtype=bool)])
@@ -428,6 +444,12 @@ def _solved(inst, store: bool):
     return inst
 
 
+def _drawn_by_phi(inst):
+    """``inst`` after a dual evaluation has drawn it, storing nothing."""
+    phi(inst, 0.5, 1.0)
+    return inst
+
+
 def _spy_on_storing(monkeypatch) -> list:
     """The n of every instance whose matrices are stored from now on."""
     stored = []
@@ -554,6 +576,18 @@ class TestStreamedInstances:
         assert weights.tolist() == dense.weights[4, cols].tolist()
         assert costs.tolist() == dense.costs[4, cols].tolist()
         assert stored == [300]
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: from_arrays(*_reference_matrices(300, 0.6, 9), s=0.6, seed=9),
+                     id="from_arrays"),
+        pytest.param(lambda: _drawn_by_phi(generate(300, 0.6, 9)), id="streamed"),
+        pytest.param(lambda: _solved(generate(300, 0.6, 9), store=True), id="stored"),
+    ])
+    def test_a_scan_without_a_visit_of_a_drawn_instance_does_nothing(self, make, monkeypatch):
+        inst = make()
+        stored, streamed = _spy_on_storing(monkeypatch), _spy_on_streaming(monkeypatch)
+        assert inst.scan(None) is None
+        assert (stored, streamed) == ([], [])
 
     def test_n_s_and_seed_are_read_only(self):
         inst = generate(300, 1.0, 1)
